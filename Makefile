@@ -77,11 +77,15 @@ race-file:
 	$(GO) test -race -count=3 -run 'TestFile|TestPageBuf|TestPread|TestUring|TestLookupBinary|TestLookupJSONOverFileBackend|TestMetricsBackendLatencyHistogram' ./internal/ssd ./internal/serving ./internal/server
 	$(GO) test -race -count=3 -run 'TestFileBackend' .
 
-# The zero-copy hot path's hard allocation gate: once warm, a cacheless
-# lookup (single and batched) over the real-I/O backend must allocate
-# nothing at all. CI runs this as the bench-smoke gate.
+# The read path's hard allocation gate: once warm, a lookup (single and
+# batched) over the real-I/O backend must allocate nothing at all, without
+# a DRAM cache and with one that evicts on every call; so must the cache's
+# own Get/Put mix and the slab behind it. CI runs this as the bench-smoke
+# gate, with one pass of the evicting-Put benchmarks for their B/op.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestFileBackendLookupZeroAllocs|TestFileBackendBatchZeroAllocs' -v ./internal/serving
+	$(GO) test -count=1 -run 'TestCacheHitPathAllocs|TestCachePutAllocBudget|TestSlabCarvesAndRecycles' -v ./internal/cache
+	$(GO) test -run '^$$' -bench 'BenchmarkCachePutEvict|BenchmarkSegmentedPutEvict' -benchtime=1x -benchmem ./internal/cache
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -251,7 +251,7 @@ func cmdServe(args []string) error {
 	seed := fs.Int64("seed", 1, "placement seed")
 	cacheRatio := fs.Float64("cache", 0.1, "DRAM cache size as a fraction of the table")
 	workers := fs.Int("workers", 8, "closed-loop serving workers")
-	device := fs.String("device", "P5800X", "SSD profile (P5800X|P4510|RAID0)")
+	device := fs.String("device", "P5800X", "SSD profile (P5800X|P4510)")
 	indexLimit := fs.Int("k", 10, "index-shrinking limit (0 = unlimited)")
 	noPipeline := fs.Bool("no-pipeline", false, "disable selection/IO pipelining")
 	greedy := fs.Bool("greedy", false, "use classic greedy set-cover selection")
@@ -292,8 +292,6 @@ func cmdServe(args []string) error {
 		prof = ssd.P5800X
 	case "P4510":
 		prof = ssd.P4510
-	case "RAID0":
-		prof = ssd.RAID0(ssd.P5800X, 2)
 	default:
 		return fmt.Errorf("unknown device %q", *device)
 	}

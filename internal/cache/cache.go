@@ -7,21 +7,24 @@
 // observable semantics: bounded entry count, recency updated on Get,
 // insertion at the head on Put, eviction from the tail. Sharding keeps
 // contention low for the multi-worker serving engine.
+//
+// Like CacheLib, the steady state never touches the heap: each shard keeps
+// its entries in a slab of index-linked nodes with a free list, Put hands
+// the displaced value back to the caller for reuse, and Slab supplies
+// fixed-width value storage in chunks while the cache is still filling.
 package cache
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"container/list"
 )
 
 // Hasher maps a key to a shard-selection hash. It must be deterministic.
 type Hasher[K comparable] func(K) uint64
 
 // Stats aggregates cache activity. The per-segment fields are only
-// meaningful under PolicySegmented (probation/protected); a plain LRU
+// meaningful under the segmented policy (probation/protected); a plain LRU
 // reports its whole population as probation. Pinned* cover the immutable
 // pin-set installed with Pin, which lives outside the LRU segments.
 type Stats struct {
@@ -58,6 +61,14 @@ func (s Stats) HitRate() float64 {
 
 // Cache is a sharded LRU cache from K to V. The zero value is not usable;
 // construct with New. All methods are safe for concurrent use.
+//
+// The cache stores values as given and never copies or allocates them:
+// whoever calls Put owns the value's storage until the call, the cache owns
+// it while the entry lives, and Put returns the value it displaced so the
+// caller can refill and reuse it. A value obtained from Get therefore
+// stays intact only until some Put displaces it; callers that recycle
+// displaced storage read hits with GetAppend, which copies under the shard
+// lock.
 type Cache[K comparable, V any] struct {
 	shards []shard[K, V]
 	mask   uint64
@@ -75,29 +86,46 @@ type Cache[K comparable, V any] struct {
 	pinnedHits atomic.Int64
 }
 
+// Segment ids. Each doubles as the slab index of its segment's list
+// sentinel, so entry nodes start at firstEntry.
+const (
+	probation  = 0
+	protected  = 1
+	firstEntry = 2
+)
+
+// node is one slab slot: an entry linked into its segment's recency list,
+// or a free slot chained through next.
+type node[K comparable, V any] struct {
+	key        K
+	val        V
+	prev, next uint32
+	seg        uint8
+}
+
+// shard is one lock domain: a key index over a slab of nodes that grows on
+// demand up to capacity. nodes[probation] and nodes[protected] are the
+// sentinels of two circular recency lists (sentinel.next is the most
+// recent entry, sentinel.prev the eviction victim); a plain LRU keeps
+// everything on the probation list. Links are uint32 slab indexes, so a
+// shard holds at most 2^32-3 entries.
 type shard[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[K]*list.Element
-	order    *list.List // front = most recent (probation segment when segmented)
+	index    map[K]uint32
+	nodes    []node[K, V]
+	free     uint32 // head of the free chain; 0 (a sentinel) means empty
+	segLen   [2]int
 
 	// Segmented (2Q-style) policy state; see segmented.go.
-	policy       Policy
-	protected    *list.List
+	segmented    bool
 	protectedCap int
 
 	// Per-segment activity, guarded by mu (summed into Stats on demand;
 	// plain ints keep the hot path free of extra atomic traffic).
-	probEvictions int64
-	protEvictions int64
-	promotions    int64
-	demotions     int64
-}
-
-type kv[K comparable, V any] struct {
-	key       K
-	val       V
-	protected bool
+	evicted    [2]int64
+	promotions int64
+	demotions  int64
 }
 
 // New returns a cache holding at most capacity entries, split over a
@@ -116,6 +144,7 @@ func New[K comparable, V any](capacity int, hash Hasher[K]) *Cache[K, V] {
 // two; other values are rounded up. Capacity is divided evenly among
 // shards (each shard gets at least one slot if capacity > 0).
 func NewSharded[K comparable, V any](capacity, nShards int, hash Hasher[K]) *Cache[K, V] {
+	capacity = max(capacity, 0)
 	if nShards < 1 {
 		nShards = 1
 	}
@@ -139,15 +168,14 @@ func NewSharded[K comparable, V any](capacity, nShards int, hash Hasher[K]) *Cac
 	per := capacity / nShards
 	extra := capacity % nShards
 	for i := range c.shards {
-		cap := per
+		s := &c.shards[i]
+		s.capacity = per
 		if i < extra {
-			cap++
+			s.capacity++
 		}
-		c.shards[i] = shard[K, V]{
-			capacity: cap,
-			entries:  make(map[K]*list.Element),
-			order:    list.New(),
-		}
+		s.index = make(map[K]uint32)
+		s.nodes = make([]node[K, V], firstEntry, min(firstEntry+s.capacity, 16))
+		s.nodes[protected].prev, s.nodes[protected].next = protected, protected
 	}
 	return c
 }
@@ -189,24 +217,45 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 		c.hits.Add(1)
 		return v, true
 	}
+	var v V
 	s := c.shardFor(k)
 	s.mu.Lock()
-	el, ok := s.entries[k]
-	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
-		var zero V
-		return zero, false
-	}
-	v := el.Value.(kv[K, V]).val
-	if s.policy == PolicySegmented {
-		s.segmentedGet(el)
-	} else {
-		s.order.MoveToFront(el)
+	n, ok := s.touch(k)
+	if ok {
+		v = s.nodes[n].val
 	}
 	s.mu.Unlock()
-	c.hits.Add(1)
-	return v, true
+	c.count(ok)
+	return v, ok
+}
+
+// GetAppend is Get for slice values whose storage the caller recycles
+// through Put: a hit's elements are appended to dst while the shard lock is
+// still held, so the copy cannot observe a concurrent Put's displaced
+// value being refilled.
+func GetAppend[K comparable, E any](c *Cache[K, []E], k K, dst []E) ([]E, bool) {
+	if v, ok := c.pinned[k]; ok {
+		c.pinnedHits.Add(1)
+		c.hits.Add(1)
+		return append(dst, v...), true
+	}
+	s := c.shardFor(k)
+	s.mu.Lock()
+	n, ok := s.touch(k)
+	if ok {
+		dst = append(dst, s.nodes[n].val...)
+	}
+	s.mu.Unlock()
+	c.count(ok)
+	return dst, ok
+}
+
+func (c *Cache[K, V]) count(hit bool) {
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
 }
 
 // Contains reports whether k is cached without promoting it and without
@@ -217,7 +266,7 @@ func (c *Cache[K, V]) Contains(k K) bool {
 	}
 	s := c.shardFor(k)
 	s.mu.Lock()
-	_, ok := s.entries[k]
+	_, ok := s.index[k]
 	s.mu.Unlock()
 	return ok
 }
@@ -227,60 +276,109 @@ func (c *Cache[K, V]) Contains(k K) bool {
 // shard is at capacity. Following the paper's CacheLib configuration,
 // writes do not refresh recency of other entries (updateOnWrite is off);
 // the inserted entry itself naturally starts most-recent.
-func (c *Cache[K, V]) Put(k K, v V) {
+//
+// Whenever the cache did not grow, the value that lost its place comes
+// back with displaced set: the evicted entry's, the replaced one's, or v
+// itself when k's shard has no capacity. The caller owns it again.
+func (c *Cache[K, V]) Put(k K, v V) (old V, displaced bool) {
+	evicted := false
 	s := c.shardFor(k)
 	s.mu.Lock()
 	if s.capacity <= 0 {
-		s.mu.Unlock()
-		return
-	}
-	if el, ok := s.entries[k]; ok {
-		old := el.Value.(kv[K, V])
-		el.Value = kv[K, V]{key: k, val: v, protected: old.protected}
-		if old.protected {
-			s.protected.MoveToFront(el)
-		} else {
-			s.order.MoveToFront(el)
+		old, displaced = v, true
+	} else if n, ok := s.index[k]; ok {
+		old, displaced = s.nodes[n].val, true
+		s.nodes[n].val = v
+		s.moveToFront(n, s.nodes[n].seg)
+	} else {
+		if s.len() >= s.capacity {
+			old, displaced, evicted = s.evict(), true, true
 		}
-		s.mu.Unlock()
-		return
+		// New entries start in the probation segment (plain LRU has only
+		// that segment).
+		n = s.alloc()
+		s.nodes[n].key, s.nodes[n].val = k, v
+		s.index[k] = n
+		s.pushFront(n, probation)
 	}
-	evicted := false
-	if s.len() >= s.capacity {
-		evicted = s.evict()
-	}
-	// New entries start in the probation segment (plain LRU has only
-	// that segment).
-	s.entries[k] = s.order.PushFront(kv[K, V]{key: k, val: v})
 	s.mu.Unlock()
 	if evicted {
 		c.evictions.Add(1)
 	}
+	return old, displaced
 }
 
-// len returns the shard's entry count (caller holds the lock).
-func (s *shard[K, V]) len() int {
-	if s.policy == PolicySegmented {
-		return s.segmentedLen()
-	}
-	return s.order.Len()
+// The methods below require the shard lock.
+
+func (s *shard[K, V]) len() int { return s.segLen[probation] + s.segLen[protected] }
+
+func (s *shard[K, V]) unlink(n uint32) {
+	e := &s.nodes[n]
+	s.nodes[e.prev].next = e.next
+	s.nodes[e.next].prev = e.prev
+	s.segLen[e.seg]--
 }
 
-// evict removes the shard's eviction victim (caller holds the lock),
-// charges the victim's segment counter, and reports whether anything was
-// removed.
-func (s *shard[K, V]) evict() bool {
-	if s.policy == PolicySegmented {
-		return s.segmentedEvict()
+func (s *shard[K, V]) pushFront(n uint32, seg uint8) {
+	head := uint32(seg)
+	e := &s.nodes[n]
+	e.seg, e.prev, e.next = seg, head, s.nodes[head].next
+	s.nodes[e.next].prev = n
+	s.nodes[head].next = n
+	s.segLen[seg]++
+}
+
+func (s *shard[K, V]) moveToFront(n uint32, seg uint8) {
+	s.unlink(n)
+	s.pushFront(n, seg)
+}
+
+// touch looks k up and, on a hit, applies the read's recency update.
+func (s *shard[K, V]) touch(k K) (uint32, bool) {
+	n, ok := s.index[k]
+	if !ok {
+		return 0, false
 	}
-	back := s.order.Back()
-	if back == nil {
-		return false
+	if s.segmented && s.nodes[n].seg == probation {
+		s.promote(n)
+	} else {
+		s.moveToFront(n, s.nodes[n].seg)
 	}
-	delete(s.entries, back.Value.(kv[K, V]).key)
-	s.order.Remove(back)
-	s.probEvictions++
-	return true
+	return n, true
+}
+
+// alloc returns an unlinked slot, growing the slab geometrically but never
+// past what capacity can use.
+func (s *shard[K, V]) alloc() uint32 {
+	if n := s.free; n != 0 {
+		s.free = s.nodes[n].next
+		return n
+	}
+	if len(s.nodes) == cap(s.nodes) {
+		grown := make([]node[K, V], len(s.nodes), min(2*cap(s.nodes), firstEntry+s.capacity))
+		copy(grown, s.nodes)
+		s.nodes = grown
+	}
+	s.nodes = append(s.nodes, node[K, V]{})
+	return uint32(len(s.nodes) - 1)
+}
+
+// evict removes the eviction victim of a shard that holds at least one
+// entry — the probation LRU, or the protected LRU when probation is empty
+// — charges the victim's segment counter, and returns its value.
+func (s *shard[K, V]) evict() V {
+	n := s.nodes[probation].prev
+	if n == probation {
+		n = s.nodes[protected].prev
+	}
+	e := &s.nodes[n]
+	v := e.val
+	s.unlink(n)
+	s.evicted[e.seg]++
+	delete(s.index, e.key)
+	*e = node[K, V]{next: s.free}
+	s.free = n
+	return v
 }
 
 // Len returns the current number of cached entries.
@@ -317,12 +415,10 @@ func (c *Cache[K, V]) Stats() Stats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.ProbationLen += s.order.Len()
-		if s.protected != nil {
-			st.ProtectedLen += s.protected.Len()
-		}
-		st.ProbationEvictions += s.probEvictions
-		st.ProtectedEvictions += s.protEvictions
+		st.ProbationLen += s.segLen[probation]
+		st.ProtectedLen += s.segLen[protected]
+		st.ProbationEvictions += s.evicted[probation]
+		st.ProtectedEvictions += s.evicted[protected]
 		st.Promotions += s.promotions
 		st.Demotions += s.demotions
 		s.mu.Unlock()
@@ -339,8 +435,7 @@ func (c *Cache[K, V]) ResetStats() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.probEvictions = 0
-		s.protEvictions = 0
+		s.evicted = [2]int64{}
 		s.promotions = 0
 		s.demotions = 0
 		s.mu.Unlock()

@@ -1,26 +1,18 @@
 package cache
 
-import "container/list"
-
-// Policy selects the per-shard eviction discipline.
-type Policy int
-
-const (
-	// PolicyLRU is plain LRU with update-on-read — the paper's CacheLib
-	// configuration (§8.1).
-	PolicyLRU Policy = iota
-	// PolicySegmented is a 2Q-style segmented LRU: new entries enter a
-	// probation segment and are promoted to a protected segment on their
-	// first hit, so one-shot scans cannot evict the established working
-	// set. CacheLib ships this as its scan-resistant configuration.
-	PolicySegmented
-)
+// The per-shard eviction discipline is one of two policies over the same
+// node links. Plain LRU with update-on-read is the paper's CacheLib
+// configuration (§8.1). The segmented policy is a 2Q-style segmented LRU:
+// new entries enter a probation segment and are promoted to a protected
+// segment on their first hit, so one-shot scans cannot evict the
+// established working set. CacheLib ships this as its scan-resistant
+// configuration.
 
 // protectedFraction is the protected segment's share of shard capacity
-// under PolicySegmented.
+// under the segmented policy.
 const protectedFraction = 0.75
 
-// NewSegmentedLRU returns a cache using PolicySegmented with a
+// NewSegmentedLRU returns a cache using the segmented policy with a
 // GOMAXPROCS-derived shard count.
 func NewSegmentedLRU[K comparable, V any](capacity int, hash Hasher[K]) *Cache[K, V] {
 	c := New[K, V](capacity, hash)
@@ -33,64 +25,22 @@ func NewSegmentedLRU[K comparable, V any](capacity int, hash Hasher[K]) *Cache[K
 func (c *Cache[K, V]) enableSegmented() {
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.policy = PolicySegmented
+		s.segmented = true
 		s.protectedCap = int(protectedFraction * float64(s.capacity))
 		if s.protectedCap >= s.capacity && s.capacity > 0 {
 			s.protectedCap = s.capacity - 1
 		}
-		s.protected = list.New()
 	}
 }
 
-// segmentedGet promotes a hit: probation entries move to the protected
-// segment (evicting the protected LRU back to probation when over budget);
-// protected entries just refresh recency.
-func (s *shard[K, V]) segmentedGet(el *list.Element) {
-	e := el.Value.(kv[K, V])
-	if e.protected {
-		s.protected.MoveToFront(el)
-		return
-	}
-	// Promote out of probation.
-	s.order.Remove(el)
-	e.protected = true
-	s.entries[e.key] = s.protected.PushFront(e)
+// promote moves a probation entry that was just hit to the protected
+// segment, demoting the protected LRU back to probation while the segment
+// is over budget (caller holds the lock).
+func (s *shard[K, V]) promote(n uint32) {
+	s.moveToFront(n, protected)
 	s.promotions++
-	// Keep the protected segment within budget by demoting its LRU.
-	for s.protected.Len() > s.protectedCap {
-		back := s.protected.Back()
-		d := back.Value.(kv[K, V])
-		s.protected.Remove(back)
-		d.protected = false
-		s.entries[d.key] = s.order.PushFront(d)
+	for s.segLen[protected] > s.protectedCap {
+		s.moveToFront(s.nodes[protected].prev, probation)
 		s.demotions++
 	}
-}
-
-// segmentedLen returns the total entries across both segments.
-func (s *shard[K, V]) segmentedLen() int {
-	n := s.order.Len()
-	if s.protected != nil {
-		n += s.protected.Len()
-	}
-	return n
-}
-
-// segmentedEvict removes the probation LRU, or the protected LRU if
-// probation is empty, charging the victim's segment counter. Reports
-// whether anything was evicted.
-func (s *shard[K, V]) segmentedEvict() bool {
-	if back := s.order.Back(); back != nil {
-		delete(s.entries, back.Value.(kv[K, V]).key)
-		s.order.Remove(back)
-		s.probEvictions++
-		return true
-	}
-	if back := s.protected.Back(); back != nil {
-		delete(s.entries, back.Value.(kv[K, V]).key)
-		s.protected.Remove(back)
-		s.protEvictions++
-		return true
-	}
-	return false
 }

@@ -79,8 +79,8 @@ func TestSegmentedProtectedBounded(t *testing.T) {
 		t.Errorf("Len = %d exceeds capacity", c.Len())
 	}
 	s := &c.shards[0]
-	if s.protected.Len() > s.protectedCap {
-		t.Errorf("protected segment %d exceeds budget %d", s.protected.Len(), s.protectedCap)
+	if s.segLen[protected] > s.protectedCap {
+		t.Errorf("protected segment %d exceeds budget %d", s.segLen[protected], s.protectedCap)
 	}
 }
 

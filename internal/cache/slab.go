@@ -1,0 +1,63 @@
+package cache
+
+import "sync"
+
+// slabChunk is how many vectors one Slab chunk holds: large enough that a
+// filling cache allocates rarely, small enough that the last chunk's unused
+// tail is noise next to the cache itself.
+const slabChunk = 256
+
+// Slab is the value store behind a Cache of fixed-width vectors. Vectors
+// are carved from chunks allocated on demand, so a cache that never fills
+// never pays for its capacity, and a full one stops allocating: from then
+// on every Put into the cache displaces a value, which the caller passes
+// to Get as spare and refills for its next Put. The slab itself only
+// bridges the gaps — a caller's first fill, and the vector it is left
+// holding when done, which goes back through Put instead of staying with
+// the caller. The population is therefore bounded by the cache's capacity
+// plus one vector per concurrent caller.
+//
+// A Slab is safe for concurrent use.
+type Slab[E any] struct {
+	mu    sync.Mutex
+	width int
+	chunk []E   // unused tail of the newest chunk
+	free  [][]E // vectors handed back by Put
+}
+
+// NewSlab returns a slab of width-element vectors.
+func NewSlab[E any](width int) *Slab[E] { return &Slab[E]{width: width} }
+
+// Get returns an empty vector to append one value's width elements into,
+// with capacity for exactly those: spare when the caller has one, otherwise
+// one of the slab's.
+func (s *Slab[E]) Get(spare []E) []E {
+	if spare != nil {
+		return spare[:0]
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		v := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return v[:0]
+	}
+	if len(s.chunk) < s.width {
+		s.chunk = make([]E, slabChunk*s.width)
+	}
+	v := s.chunk[:0:s.width]
+	s.chunk = s.chunk[s.width:]
+	return v
+}
+
+// Put hands back a vector that came from Get, directly or as the value a
+// cache Put displaced. A nil v is a no-op.
+func (s *Slab[E]) Put(v []E) {
+	if v == nil {
+		return
+	}
+	s.mu.Lock()
+	s.free = append(s.free, v)
+	s.mu.Unlock()
+}

@@ -143,7 +143,7 @@ func (w *Worker) LookupBatch(queries [][]Key) (BatchResult, error) {
 			if _, dup := w.seen[k]; dup {
 				continue
 			}
-			w.seen[k] = struct{}{}
+			w.seen[k] = false
 			sc.distinct = append(sc.distinct, k)
 			id, ok := sc.keyIdx[k]
 			if !ok {

@@ -198,6 +198,7 @@ type Engine struct {
 	health     ssd.HealthReporter
 	idx        *selection.Index
 	cache      *cache.Cache[Key, []float32]
+	vecs       *cache.Slab[float32] // the cache's vector storage; nil without a Store
 	shadow     *cache.Shadow[Key]
 	costs      CostModel
 	dim        int
@@ -310,6 +311,7 @@ func New(cfg Config) (*Engine, error) {
 	case cfg.Store != nil:
 		e.dim = cfg.Store.Dim()
 		e.vecSize = e.dim * 4
+		e.vecs = cache.NewSlab[float32](e.dim)
 	case cfg.VectorBytes > 0:
 		e.vecSize = cfg.VectorBytes
 	default:
@@ -488,24 +490,24 @@ type QueryStats struct {
 func (s QueryStats) LatencyNS() int64 { return s.EndNS - s.StartNS }
 
 // Result is the outcome of one lookup. Vectors are only populated when the
-// engine has a Store; the backing array is reused by the worker, so the
-// caller must consume the result before the next Lookup.
+// engine has a Store. Everything a Result points to is worker memory the
+// worker's next lookup reuses — nothing aliases the DRAM cache — so the
+// caller must consume the result before then.
 type Result struct {
 	Stats QueryStats
-	// Keys and Vectors are parallel: Vectors[i] is the embedding of
-	// Keys[i], covering every distinct key of the query that was served.
-	// On a real-I/O backend a key served straight from a completion buffer
-	// has Vectors[i] == nil on cacheless engines — its payload is carried
-	// by Refs[i] instead (zero-copy; with a cache, both are populated and
-	// Vectors[i] aliases the cache's copy).
+	// Keys and Vectors are parallel, covering every distinct key of the
+	// query that was served. Each entry's embedding is in exactly one
+	// place: Vectors[i] when the worker holds a decoded copy (cache hits,
+	// store fallbacks, simulated reads), or Refs[i] with Vectors[i] == nil
+	// when a real-I/O backend served the key straight from a completion
+	// buffer. A DRAM cache does not change which.
 	Keys    []Key
 	Vectors [][]float32
 	// Refs, non-nil exactly when the engine has a Store, is parallel to
 	// Keys: Refs[i], when Valid, is a zero-copy view of Keys[i]'s
 	// checksum-verified payload inside a completion buffer (see SlotRef).
-	// Invalid entries (cache hits, store fallbacks, simulated reads) carry
-	// their value in Vectors[i]. Views stay valid until the worker's next
-	// lookup; retain them to hold the buffers longer.
+	// Views stay valid until the worker's next lookup; retain them to hold
+	// the buffers longer.
 	Refs []SlotRef
 	// FailedKeys lists distinct query keys that could not be served
 	// because every read attempt within the retry budget failed. Empty on
@@ -597,8 +599,7 @@ type Worker struct {
 	distinct    []Key
 	batchBuf    []Key
 	hitKeys     []Key
-	hitVecs     [][]float32
-	vecArena    []float32
+	vecArena    []float32 // cache hits' copies first, then extractions
 	out         []extracted
 	refOut      []refExtracted // zero-copy extractions (real-I/O backends)
 	held        []*ssd.PageBuf // completion buffers alive until next lookup
@@ -610,7 +611,9 @@ type Worker struct {
 	resRefs     []SlotRef
 	perQuery    []Result // LookupBatch's scattered results, reused per batch
 	compMap     map[layout.PageID]ssd.Completion
-	seen        map[Key]struct{}
+	// seen holds the query's distinct keys; true marks the ones this
+	// lookup's cache probe hit, which is what selection skips.
+	seen map[Key]bool
 
 	// skipFn and emitFn are the selection callbacks, built once per worker
 	// so the hot path does not allocate a closure per query. emitFn reads
@@ -634,15 +637,13 @@ func (e *Engine) NewWorker() *Worker {
 		sel:     selection.NewSelector(e.idx),
 		q:       ssd.NewQueuePairFor(e.be),
 		now:     e.be.Frontier(),
-		seen:    make(map[Key]struct{}, 64),
+		seen:    make(map[Key]bool, 64),
 		compMap: make(map[layout.PageID]ssd.Completion, 16),
 	}
-	w.skipFn = func(k Key) bool {
-		if e.cache == nil {
-			return false
-		}
-		return e.cache.Contains(k)
-	}
+	// Selection skips exactly the keys the probe served. Asking the cache
+	// again instead would disagree with the probe whenever another worker's
+	// Put landed in between, and drop the key from the result.
+	w.skipFn = func(k Key) bool { return w.seen[k] }
 	w.emitFn = func(p layout.PageID, covered []Key, sofar selection.Stats) {
 		from := len(w.coveredFlat)
 		w.coveredFlat = append(w.coveredFlat, covered...)
@@ -800,14 +801,14 @@ func (w *Worker) lookupCombined(query []Key, record bool) (Result, error) {
 	// Cache probe over distinct keys (first-appearance order, so LRU
 	// promotion order is deterministic); hits are served from DRAM.
 	w.hitKeys = w.hitKeys[:0]
-	w.hitVecs = w.hitVecs[:0]
+	w.vecArena = w.vecArena[:0]
 	w.distinct = w.distinct[:0]
 	clear(w.seen)
 	for _, k := range query {
 		if _, dup := w.seen[k]; dup {
 			continue
 		}
-		w.seen[k] = struct{}{}
+		w.seen[k] = false
 		w.distinct = append(w.distinct, k)
 	}
 	st.DistinctKeys = len(w.distinct)
@@ -821,10 +822,13 @@ func (w *Worker) lookupCombined(query []Key, record bool) (Result, error) {
 		e.shadow.TouchAll(w.distinct)
 	}
 	if e.cache != nil {
+		// One probe per key, copying hits into the arena under the cache's
+		// lock: displaced cache storage is recycled, so never aliased.
 		for _, k := range w.distinct {
-			if v, ok := e.cache.Get(k); ok {
+			var ok bool
+			if w.vecArena, ok = cache.GetAppend(e.cache, k, w.vecArena); ok {
 				w.hitKeys = append(w.hitKeys, k)
-				w.hitVecs = append(w.hitVecs, v)
+				w.seen[k] = true
 			}
 		}
 		probe := e.costs.CacheProbe(st.DistinctKeys)
@@ -891,7 +895,6 @@ func (w *Worker) lookupCombined(query []Key, record bool) (Result, error) {
 	st.PagesRead = len(w.plan)
 
 	w.out = w.out[:0]
-	w.vecArena = w.vecArena[:0]
 	w.failures = w.failures[:0]
 	w.failedKeys = w.failedKeys[:0]
 	clear(w.compMap)
@@ -925,7 +928,8 @@ func (w *Worker) lookupCombined(query []Key, record bool) (Result, error) {
 	// Assemble the result and fill the cache. Zero-copy extractions come
 	// first (their refs alias completion buffers pinned in w.held), then
 	// arena-backed extractions (simulated reads, store fallbacks), then
-	// DRAM cache hits.
+	// DRAM cache hits. Each miss is decoded or copied straight into the
+	// storage the previous fill displaced.
 	res := Result{}
 	w.resKeys = w.resKeys[:0]
 	w.resVecs = w.resVecs[:0]
@@ -934,17 +938,13 @@ func (w *Worker) lookupCombined(query []Key, record bool) (Result, error) {
 	t += extract
 	st.OtherSoftNS += extract
 	if e.cfg.Store != nil {
+		var spare []float32 // cache storage the last miss-fill displaced
 		for _, x := range w.refOut {
 			w.resKeys = append(w.resKeys, x.key)
 			w.resRefs = append(w.resRefs, x.ref)
+			w.resVecs = append(w.resVecs, nil)
 			if e.cache != nil {
-				// The cache owns a decoded copy; the result carries it too,
-				// so value consumers need not touch the ref path.
-				vec := x.ref.AppendVector(nil)
-				e.cache.Put(x.key, vec)
-				w.resVecs = append(w.resVecs, vec)
-			} else {
-				w.resVecs = append(w.resVecs, nil)
+				spare, _ = e.cache.Put(x.key, x.ref.AppendVector(e.vecs.Get(spare)))
 			}
 		}
 		for _, x := range w.out {
@@ -953,31 +953,31 @@ func (w *Worker) lookupCombined(query []Key, record bool) (Result, error) {
 			w.resVecs = append(w.resVecs, vec)
 			w.resRefs = append(w.resRefs, SlotRef{})
 			if e.cache != nil {
-				// The cache owns its copy: arena memory is reused.
-				cp := make([]float32, len(vec))
-				copy(cp, vec)
-				e.cache.Put(x.key, cp)
+				spare, _ = e.cache.Put(x.key, append(e.vecs.Get(spare), vec...))
 			}
 		}
+		e.vecs.Put(spare)
 	} else if e.cache != nil {
-		failed := map[Key]struct{}{}
+		// Selection is over, so seen is free to mark the failed keys.
+		clear(w.seen)
 		for _, k := range w.failedKeys {
-			failed[k] = struct{}{}
+			w.seen[k] = true
 		}
 		for _, k := range w.coveredFlat {
-			if _, bad := failed[k]; !bad {
+			if !w.seen[k] {
 				e.cache.Put(k, nil)
 			}
 		}
 	}
 	w.resKeys = append(w.resKeys, w.hitKeys...)
-	w.resVecs = append(w.resVecs, w.hitVecs...)
+	for i := range w.hitKeys {
+		// Hit i sits at the head of the arena, dim (timing-only: 0) wide.
+		w.resVecs = append(w.resVecs, w.vecArena[i*e.dim:(i+1)*e.dim])
+		w.resRefs = append(w.resRefs, SlotRef{})
+	}
 	res.Keys = w.resKeys
 	res.Vectors = w.resVecs
 	if e.cfg.Store != nil {
-		for range w.hitKeys {
-			w.resRefs = append(w.resRefs, SlotRef{})
-		}
 		res.Refs = w.resRefs
 	}
 	// Degradation counters are the caller's: Lookup counts one degraded

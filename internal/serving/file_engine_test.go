@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"maxembed/internal/placement"
@@ -116,35 +118,55 @@ func TestFileBackendLookupMatchesStore(t *testing.T) {
 	}
 }
 
-// TestFileBackendLookupWithCache checks that with a DRAM cache the value
-// path (Vectors) is populated alongside the refs and both agree; cache
-// hits come back as value entries with zero refs.
+// resultVector decodes entry i of res through whichever of the two places
+// holds it; an entry in both or in neither is an error.
+func resultVector(res Result, i int, dst []float32) ([]float32, error) {
+	ref, v := res.Refs[i], res.Vectors[i]
+	switch {
+	case ref.Valid() && v != nil:
+		return nil, fmt.Errorf("key %d: both a ref and a vector", res.Keys[i])
+	case ref.Valid():
+		return ref.AppendVector(dst), nil
+	case len(v) != testDim:
+		return nil, fmt.Errorf("key %d: no ref and a vector of len %d", res.Keys[i], len(v))
+	}
+	return append(dst, v...), nil
+}
+
+// TestFileBackendLookupWithCache checks the one ref/vector contract holds
+// with a DRAM cache: a key read from a shard file comes back as a ref with
+// a nil vector exactly as on a cacheless engine, a cache hit as a worker-
+// owned vector with a zero ref, and both carry the source table's bytes.
 func TestFileBackendLookupWithCache(t *testing.T) {
 	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
 	e, _ := f.fileEngine(t, 2, func(c *Config) { c.CacheEntries = f.trace.NumItems / 4 })
 	w := e.NewWorker()
 	sawHit, sawRef := false, false
+	var got, want []float32
 	for qi := 0; qi < 300; qi++ {
 		res, err := w.Lookup(f.trace.Queries[qi])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range res.Keys {
-			v := res.Vectors[i]
-			if len(v) != testDim {
-				t.Fatalf("query %d: vector len %d with cache enabled", qi, len(v))
+		hits := 0
+		for i, k := range res.Keys {
+			if got, err = resultVector(res, i, got[:0]); err != nil {
+				t.Fatalf("query %d: %v", qi, err)
 			}
-			if ref := res.Refs[i]; ref.Valid() {
+			want = f.syn.Vector(k, want[:0])
+			if !slices.Equal(got, want) {
+				t.Fatalf("query %d key %d: wrong vector", qi, k)
+			}
+			if res.Refs[i].Valid() {
 				sawRef = true
-				for j := range v {
-					if ref.Float32(j) != v[j] {
-						t.Fatalf("query %d key %d: ref and vector disagree", qi, res.Keys[i])
-					}
-				}
 			} else {
-				sawHit = true
+				hits++
 			}
 		}
+		if hits != res.Stats.CacheHits {
+			t.Fatalf("query %d: %d value-backed entries, %d cache hits", qi, hits, res.Stats.CacheHits)
+		}
+		sawHit = sawHit || hits > 0
 	}
 	if !sawRef || !sawHit {
 		t.Fatalf("exercised refs=%v hits=%v; want both", sawRef, sawHit)
@@ -220,61 +242,144 @@ func TestFileBackendBatchRefs(t *testing.T) {
 	}
 }
 
-// TestFileBackendLookupZeroAllocs is the tentpole's allocation guard: once
-// warm, a cacheless lookup over the real-I/O backend — selection, submit,
-// drain, in-place checksum verification, ref assembly, accounting — must
-// allocate nothing at all. Any regression here reintroduces per-key or
-// per-page garbage on the hot path.
-func TestFileBackendLookupZeroAllocs(t *testing.T) {
-	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
-	e, _ := f.fileEngine(t, 2, nil)
-	w := e.NewWorker()
-	qs := f.trace.Queries
-	for i := 0; i < 700; i++ {
-		if _, err := w.Lookup(qs[i%len(qs)]); err != nil {
-			t.Fatal(err)
-		}
+// zeroAllocCases are the engines the steady-state allocation guards cover:
+// the cacheless zero-copy path, and a cache of a tenth of the keys, small
+// enough that every measured lookup probes, misses, evicts and refills.
+var zeroAllocCases = []struct {
+	name       string
+	cacheShare float64 // of the key count
+}{
+	{"cacheless", 0},
+	{"cached", 0.1},
+}
+
+func (f *fixture) cacheOf(share float64) func(*Config) {
+	return func(c *Config) { c.CacheEntries = int(share * float64(f.trace.NumItems)) }
+}
+
+// guardZeroAllocs warms lookup, then requires that it allocates nothing at
+// all — and, with a cache, that the measured calls were evicting.
+func guardZeroAllocs(t *testing.T, e *Engine, warm, runs int, lookup func(i int)) {
+	t.Helper()
+	for i := 0; i < warm; i++ {
+		lookup(i)
 	}
 	// Latency samples append into a slice that grows across the run; the
 	// warmup above grew it past what the measured runs add, and Reset
 	// keeps the capacity.
 	e.Latency.Reset()
-	i := 0
-	allocs := testing.AllocsPerRun(500, func() {
+	var before int64
+	if e.Cache() != nil {
+		before = e.Cache().Stats().Evictions
+	}
+	i := warm
+	allocs := testing.AllocsPerRun(runs, func() {
 		i++
-		if _, err := w.Lookup(qs[i%len(qs)]); err != nil {
-			t.Fatal(err)
-		}
+		lookup(i)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state file-backend Lookup allocs/op = %.1f, want 0", allocs)
+		t.Fatalf("steady-state allocs/op = %.1f, want 0", allocs)
+	}
+	if c := e.Cache(); c != nil && c.Stats().Evictions-before < int64(runs) {
+		t.Fatalf("only %d evictions over %d measured lookups: not the miss-fill path",
+			c.Stats().Evictions-before, runs)
+	}
+}
+
+// TestFileBackendLookupZeroAllocs is the allocation guard of the real-I/O
+// read path: once warm, a lookup — probe, selection, submit, drain,
+// in-place checksum verification, ref assembly, miss-fill into recycled
+// cache storage, accounting — must allocate nothing at all, with or
+// without a DRAM cache. Any regression here reintroduces per-key or
+// per-page garbage on the hot path.
+func TestFileBackendLookupZeroAllocs(t *testing.T) {
+	for _, tc := range zeroAllocCases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
+			e, _ := f.fileEngine(t, 2, f.cacheOf(tc.cacheShare))
+			w := e.NewWorker()
+			qs := f.trace.Queries
+			guardZeroAllocs(t, e, 700, 500, func(i int) {
+				if _, err := w.Lookup(qs[i%len(qs)]); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
 }
 
 // TestFileBackendBatchZeroAllocs extends the zero-alloc guard to the
 // coalesced batch path: combined pass plus CSR scatter.
 func TestFileBackendBatchZeroAllocs(t *testing.T) {
-	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
-	e, _ := f.fileEngine(t, 2, nil)
-	w := e.NewWorker()
-	qs := f.trace.Queries
-	const batch = 6
-	for i := 0; i < 200; i++ {
-		from := (i * batch) % (len(qs) - batch)
-		if _, err := w.LookupBatch(qs[from : from+batch]); err != nil {
-			t.Fatal(err)
-		}
+	for _, tc := range zeroAllocCases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
+			e, _ := f.fileEngine(t, 2, f.cacheOf(tc.cacheShare))
+			w := e.NewWorker()
+			qs := f.trace.Queries
+			const batch = 6
+			guardZeroAllocs(t, e, 200, 300, func(i int) {
+				from := (i * batch) % (len(qs) - batch)
+				if _, err := w.LookupBatch(qs[from : from+batch]); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
-	e.Latency.Reset()
-	i := 0
-	allocs := testing.AllocsPerRun(300, func() {
-		i++
-		from := (i * batch) % (len(qs) - batch)
-		if _, err := w.LookupBatch(qs[from : from+batch]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state file-backend LookupBatch allocs/op = %.1f, want 0", allocs)
+}
+
+// TestConcurrentCachedLookups runs several workers against one tiny cache,
+// so that nearly every fill evicts an entry another worker may be reading,
+// and checks the two things that interleaving can break. Every distinct key
+// of every query is accounted for: a key another worker cached between this
+// worker's probe and its selection used to be skipped by both and dropped
+// from the result. And every vector equals the source table's: storage a
+// Put displaced is refilled at once, so a hit that still aliased it would
+// read another key's bytes.
+func TestConcurrentCachedLookups(t *testing.T) {
+	const workers, rounds = 6, 400
+	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
+	engines := map[string]*Engine{
+		"sim": f.engine(t, func(c *Config) { c.CacheEntries = 48 }),
+	}
+	engines["file"], _ = f.fileEngine(t, 2, func(c *Config) { c.CacheEntries = 48; c.SegmentedCache = true })
+	for name, e := range engines {
+		t.Run(name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			for g := 0; g < workers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					w := e.NewWorker()
+					var got, want []float32
+					// Overlapping windows of the hottest queries keep the
+					// workers contending for the same few cache slots.
+					for i := 0; i < rounds; i++ {
+						res, err := w.Lookup(f.trace.Queries[(g*7+i)%64])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if n := len(res.Keys) + len(res.FailedKeys); n != res.Stats.DistinctKeys {
+							t.Errorf("worker %d lookup %d: %d keys served + failed, %d distinct",
+								g, i, n, res.Stats.DistinctKeys)
+							return
+						}
+						for j, k := range res.Keys {
+							got, err = resultVector(res, j, got[:0])
+							want = f.syn.Vector(k, want[:0])
+							if err != nil || !slices.Equal(got, want) {
+								t.Errorf("worker %d lookup %d key %d: wrong vector (%v)", g, i, k, err)
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if ev := e.Cache().Stats().Evictions; ev < workers*rounds {
+				t.Fatalf("only %d evictions: the cache was not under pressure", ev)
+			}
+		})
 	}
 }

@@ -168,10 +168,10 @@ func (e *Engine) WarmCache(queries [][]Key) error {
 	lay := e.cfg.Layout
 
 	// First pass: distinct uncached keys in first-appearance order, grouped
-	// by home page.
+	// by home page (as positions in ordered).
 	var ordered []Key
 	seen := make(map[Key]struct{})
-	byPage := make(map[layout.PageID][]Key)
+	byPage := make(map[layout.PageID][]int)
 	for _, q := range queries {
 		for _, k := range q {
 			if _, dup := seen[k]; dup {
@@ -181,36 +181,46 @@ func (e *Engine) WarmCache(queries [][]Key) error {
 			if _, ok := e.cache.Get(k); ok {
 				continue
 			}
-			ordered = append(ordered, k)
 			home := lay.Home[k]
-			byPage[home] = append(byPage[home], k)
+			byPage[home] = append(byPage[home], len(ordered))
+			ordered = append(ordered, k)
 		}
+	}
+	if e.cfg.Store == nil {
+		for _, k := range ordered {
+			e.cache.Put(k, nil)
+		}
+		e.cache.ResetStats()
+		return nil
 	}
 
-	// Second pass: one read per touched page, extracting every wanted key.
-	vecs := make(map[Key][]float32, len(ordered))
-	if e.cfg.Store != nil {
-		buf := make([]byte, e.cfg.Store.PageSize())
-		for home, keys := range byPage {
-			if err := e.cfg.Store.ReadPage(home, buf); err != nil {
-				return fmt.Errorf("serving: warm cache page %d: %w", home, err)
+	// Second pass: one read per touched page, decoding every wanted key
+	// into its slot of one staging arena.
+	staged := make([]float32, len(ordered)*e.dim)
+	buf := make([]byte, e.cfg.Store.PageSize())
+	for home, at := range byPage {
+		if err := e.cfg.Store.ReadPage(home, buf); err != nil {
+			return fmt.Errorf("serving: warm cache page %d: %w", home, err)
+		}
+		nSlots := len(lay.Pages[home])
+		for _, i := range at {
+			k := ordered[i]
+			_, ok, err := store.ExtractFromImage(buf, e.dim, k, nSlots, staged[i*e.dim:i*e.dim])
+			if err != nil {
+				return fmt.Errorf("serving: warm cache key %d: %w", k, err)
 			}
-			nSlots := len(lay.Pages[home])
-			for _, k := range keys {
-				vec, ok, err := store.ExtractFromImage(buf, e.dim, k, nSlots, nil)
-				if err != nil {
-					return fmt.Errorf("serving: warm cache key %d: %w", k, err)
-				}
-				if !ok {
-					return fmt.Errorf("serving: warm cache: home page %d missing key %d", home, k)
-				}
-				vecs[k] = vec
+			if !ok {
+				return fmt.Errorf("serving: warm cache: home page %d missing key %d", home, k)
 			}
 		}
 	}
-	for _, k := range ordered {
-		e.cache.Put(k, vecs[k])
+	// Admit through the lookup path's storage cycle, so a warm set larger
+	// than the cache costs no more vectors than the cache holds.
+	var spare []float32
+	for i, k := range ordered {
+		spare, _ = e.cache.Put(k, append(e.vecs.Get(spare), staged[i*e.dim:(i+1)*e.dim]...))
 	}
+	e.vecs.Put(spare)
 	e.cache.ResetStats()
 	return nil
 }

@@ -45,7 +45,8 @@ func (r SlotRef) Float32(i int) float32 {
 	return math.Float32frombits(binary.LittleEndian.Uint32(r.payload[4*i:]))
 }
 
-// AppendVector appends the decoded vector to dst and returns it.
+// AppendVector appends the decoded vector to dst and returns it; a dst with
+// room for Dim more elements makes the decode allocation-free.
 func (r SlotRef) AppendVector(dst []float32) []float32 {
 	for i := 0; i < len(r.payload); i += 4 {
 		dst = append(dst, math.Float32frombits(binary.LittleEndian.Uint32(r.payload[i:])))

@@ -157,50 +157,6 @@ func TestArrayChannelMappingUsesLocalPage(t *testing.T) {
 	}
 }
 
-// TestRAID0DivergesFromArrayOnSkew demonstrates why the RAID0 profile
-// helper is only a coarse approximation. Under a skewed load that touches
-// one residue class of pages, a real 2-device Array saturates a single
-// member device while the other idles; the merged RAID0 profile wrongly
-// lets the load spread over the doubled channel and bandwidth budget and
-// finishes significantly earlier. Balanced loads agree; skewed loads do
-// not — which is exactly what per-device queues exist to model.
-func TestRAID0DivergesFromArrayOnSkew(t *testing.T) {
-	prof := testProfile()
-	const reads = 64
-
-	arr := mustArray(t, prof, 2)
-	mq := NewMultiQueue(arr)
-	for i := 0; i < reads; i++ {
-		mq.Submit(PageID(2*i), 0) // even pages: all on shard 0
-	}
-	arrDone, _ := mq.Drain(0)
-
-	merged := mustDevice(t, RAID0(prof, 2))
-	q := NewQueue(merged)
-	for i := 0; i < reads; i++ {
-		q.Submit(PageID(2*i), 0)
-	}
-	raidDone, _ := q.Drain(0)
-
-	if arrDone <= raidDone {
-		t.Fatalf("array (%d ns) not slower than merged RAID0 profile (%d ns) under skew", arrDone, raidDone)
-	}
-	if ratio := float64(arrDone) / float64(raidDone); ratio < 1.2 {
-		t.Errorf("divergence ratio %.2f too small to demonstrate the approximation error", ratio)
-	}
-	// The array's time equals a single bare device taking the whole load:
-	// skew means no cross-device parallelism at all.
-	single := mustDevice(t, prof)
-	sq := NewQueue(single)
-	for i := 0; i < reads; i++ {
-		sq.Submit(PageID(i), 0) // local addresses on shard 0 are 0..63
-	}
-	singleDone, _ := sq.Drain(0)
-	if arrDone != singleDone {
-		t.Errorf("skewed array drain = %d, want single-device %d", arrDone, singleDone)
-	}
-}
-
 // TestArrayBalancedScaling checks the opposite regime: a balanced load over
 // n devices drains in roughly 1/n the time of one device.
 func TestArrayBalancedScaling(t *testing.T) {

@@ -45,9 +45,6 @@ var (
 	DeviceP4510  = ssd.P4510
 )
 
-// DeviceRAID0 stripes n drives of the base profile.
-func DeviceRAID0(base DeviceProfile, n int) DeviceProfile { return ssd.RAID0(base, n) }
-
 // FaultConfig parameterizes deterministic device fault injection: per-read
 // error/timeout/corruption probabilities and latency disturbances. See
 // ssd.InjectorConfig for field documentation.
