@@ -70,7 +70,9 @@ race-coact:
 	$(GO) test -race -count=3 -run 'Despread|Spread|TopForSet|MaxShardDepth|LookupBatch' ./internal/placement ./internal/hypergraph ./internal/serving
 	$(GO) test -race -count=3 -run 'TestCoActivationPlacementOption|TestRefreshDuringFastShardRebuild' .
 
-# The real-I/O seams under the race detector: the async backend's executor
+# The real-I/O seams under the race detector: the async backend's ring
+# lending (ring-full, one ring over four fds, ring lifetime and retire,
+# concurrent queue pairs, read errors — all TestFileBackend…), pread-pool
 # and freelist paths, zero-copy ref lifetimes across retained buffers, the
 # server's lease/encode handoff, and the public WithFileBackend surface.
 race-file:

@@ -38,6 +38,9 @@ const (
 //     file run must read exactly the pages the simulator run reads;
 //   - zero failed keys — real I/O must serve every key the layout holds;
 //   - host overhead per read under budget (hwHostBudgetNS);
+//   - submission batching — on io_uring a query's reads share one
+//     io_uring_enter, so reads per enter must reach at least half the
+//     trace's mean pages per query (skipped on the pread executor);
 //   - pool-worker scaling — widening the pread pool must not collapse raw
 //     read throughput (hwScalingFloor).
 //
@@ -87,7 +90,7 @@ func HWSweep(cfg Config) error {
 	// Part 1: engine-level comparison, simulator vs file backend, on
 	// identical queries with identical layouts and no cache.
 	t := newTable(cfg.Out, "Hardware sweep: simulated device vs real async I/O (maxembed, 40% replicas, no cache)")
-	t.row("backend", "executor", "direct", "pages read", "failed", "wall ms", "host µs/read", "read p-mean µs")
+	t.row("backend", "executor", "direct", "pages read", "failed", "wall ms", "host µs/read", "read p-mean µs", "reads/enter")
 
 	dev, err := ssd.NewDevice(ssd.P5800X)
 	if err != nil {
@@ -104,7 +107,7 @@ func HWSweep(cfg Config) error {
 		return err
 	}
 	t.row("simulated", "model", "-",
-		fmt.Sprint(simRes.PagesRead), fmt.Sprint(simRes.FailedKeys), "-", "-", "-")
+		fmt.Sprint(simRes.PagesRead), fmt.Sprint(simRes.FailedKeys), "-", "-", "-", "-")
 
 	fs, _, err := store.OpenFileAuto(path)
 	if err != nil {
@@ -134,11 +137,17 @@ func HWSweep(cfg Config) error {
 		meanReadNS = float64(lat.SumNS) / float64(lat.Count)
 	}
 	hostNSPerRead := float64(wall.Nanoseconds()) / float64(max64(fileRes.PagesRead, 1))
+	enters, ringed := fb.RingEnters()
+	readsPerEnter, perEnterCell := 0.0, "-"
+	if ringed {
+		readsPerEnter = float64(fileRes.PagesRead) / float64(max64(enters, 1))
+		perEnterCell = fmt.Sprintf("%.1f", readsPerEnter)
+	}
 	t.row("file", fb.ExecutorKind(), fmt.Sprint(fb.Direct()),
 		fmt.Sprint(fileRes.PagesRead), fmt.Sprint(fileRes.FailedKeys),
 		fmt.Sprintf("%.1f", float64(wall.Nanoseconds())/1e6),
 		fmt.Sprintf("%.1f", hostNSPerRead/1e3),
-		fmt.Sprintf("%.1f", meanReadNS/1e3))
+		fmt.Sprintf("%.1f", meanReadNS/1e3), perEnterCell)
 	t.flush()
 
 	// Hard invariants. An experiment that fails here fails the run — they
@@ -161,6 +170,12 @@ func HWSweep(cfg Config) error {
 	if lat.Count == 0 {
 		fb.Close()
 		return fmt.Errorf("hwsweep: file backend recorded no measured read latency over %d reads", fileRes.PagesRead)
+	}
+	pagesPerQuery := float64(fileRes.PagesRead) / float64(len(pr.eval.Queries))
+	if ringed && readsPerEnter < pagesPerQuery/2 {
+		fb.Close()
+		return fmt.Errorf("hwsweep: %.1f reads per io_uring_enter against %.1f pages per query: submissions are not batching",
+			readsPerEnter, pagesPerQuery)
 	}
 	if err := fb.Close(); err != nil {
 		return err

@@ -400,9 +400,27 @@ func TestMetricsBackendLatencyHistogram(t *testing.T) {
 		t.Fatalf("+Inf bucket %d != count %d", inf, total)
 	}
 
+	// The executor block and the ring counter: on io_uring the reads of a
+	// lookup share one io_uring_enter, on the pread pool both are absent.
+	be := getStats(t, srv.URL).Backend
+	if be == nil || be.Executor != s.fb.ExecutorKind() {
+		t.Fatalf("/v1/stats backend block %+v, executor %s", be, s.fb.ExecutorKind())
+	}
+	hasRing := strings.Contains(text, "maxembed_backend_ring_enters_total ")
+	if be.Executor == "io_uring" {
+		if !hasRing || be.RingEnters == nil || *be.RingEnters == 0 || *be.ReadsPerEnter < 1 {
+			t.Errorf("io_uring ring counters: metric %v, stats %+v", hasRing, be)
+		}
+	} else if hasRing || be.RingEnters != nil || be.ReadsPerEnter != nil {
+		t.Errorf("pread executor exported ring counters: metric %v, stats %+v", hasRing, be)
+	}
+
 	// The simulated stack has no measured latency to report.
 	sim := newTestStack(t, 0.2, nil)
 	simSrv := sim.serve(t)
+	if sb := getStats(t, simSrv.URL).Backend; sb != nil {
+		t.Errorf("simulated backend exported an executor block: %+v", sb)
+	}
 	r2, err := http.Get(simSrv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -412,8 +430,8 @@ func TestMetricsBackendLatencyHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(simBody), "maxembed_backend_read_latency_seconds") {
-		t.Error("simulated backend exported a measured-latency histogram")
+	if strings.Contains(string(simBody), "maxembed_backend_") {
+		t.Error("simulated backend exported real-I/O backend metrics")
 	}
 }
 

@@ -242,6 +242,8 @@ func (h *Handler) Close() {
 // poolWorker is a pooled per-request worker tagged with the engine
 // generation it was created for; stale entries are discarded instead of
 // reused, so an engine swap invalidates the pool without coordination.
+// The wrapper travels with its worker — out of the pool and back — so a
+// pooled request allocates neither.
 type poolWorker struct {
 	gen uint64
 	w   *serving.Worker
@@ -249,18 +251,18 @@ type poolWorker struct {
 
 // getWorker returns a worker bound to the current engine generation,
 // draining stale pool entries as it encounters them.
-func (h *Handler) getWorker() (*serving.Worker, uint64) {
+func (h *Handler) getWorker() *poolWorker {
 	eng, gen := h.handle.Load()
 	for {
-		// Entries are either returned to the pool by putWorker (re-wrapped
-		// with their generation) or deliberately dropped here when stale.
+		// Entries are either returned to the pool by putWorker or
+		// deliberately dropped here when stale.
 		//lint:allow poolreturn stale workers are drained, not leaked
 		v := h.workers.Get()
 		if v == nil {
-			return eng.NewWorker(), gen
+			return &poolWorker{gen: gen, w: eng.NewWorker()}
 		}
 		if pw := v.(*poolWorker); pw.gen == gen {
-			return pw.w, gen
+			return pw
 		}
 		// Stale generation: drop the entry (its engine is retired) and
 		// keep draining until the pool yields a current one or empties.
@@ -270,11 +272,11 @@ func (h *Handler) getWorker() (*serving.Worker, uint64) {
 // putWorker returns a worker to the pool unless a swap has made its
 // generation stale, in which case it is dropped so the retired engine's
 // page images can be collected.
-func (h *Handler) putWorker(w *serving.Worker, gen uint64) {
-	if h.handle.Generation() != gen {
+func (h *Handler) putWorker(pw *poolWorker) {
+	if h.handle.Generation() != pw.gen {
 		return
 	}
-	h.workers.Put(&poolWorker{gen: gen, w: w})
+	h.workers.Put(pw)
 }
 
 // ServeHTTP implements http.Handler.
@@ -436,10 +438,10 @@ func (h *Handler) lookupCoalesced(w http.ResponseWriter, r *http.Request, keys [
 // into the engine's recovery loop, so a client that hangs up stops the
 // worker from burning retries on its behalf.
 func (h *Handler) lookupIsolated(w http.ResponseWriter, r *http.Request, keys []uint32) {
-	worker, gen := h.getWorker()
-	res, err := worker.LookupCtx(r.Context(), keys)
+	pw := h.getWorker()
+	res, err := pw.w.LookupCtx(r.Context(), keys)
 	if err != nil {
-		h.putWorker(worker, gen)
+		h.putWorker(pw)
 		httpError(w, http.StatusUnprocessableEntity, "lookup: %v", err)
 		return
 	}
@@ -448,7 +450,7 @@ func (h *Handler) lookupIsolated(w http.ResponseWriter, r *http.Request, keys []
 	// Snapshot the result (pinning any zero-copy buffer views) before the
 	// worker goes back to the pool, where another request may reuse it.
 	lease := newLease(res)
-	h.putWorker(worker, gen)
+	h.putWorker(pw)
 	status := http.StatusOK
 	if lease.degraded {
 		status = http.StatusPartialContent
@@ -472,6 +474,9 @@ type StatsResponse struct {
 	// Tiers aggregates shard activity per device tier (fastest first) on a
 	// heterogeneous backend; omitted when the backend has a single tier.
 	Tiers []TierStatsEntry `json:"tiers,omitempty"`
+	// Backend describes the read executor of a real-I/O backend; omitted
+	// on simulated backends.
+	Backend *BackendStatsEntry `json:"backend,omitempty"`
 	// Coact reports per-query shard-spread depth and the last
 	// co-activation placement pass; omitted on one-shard backends.
 	Coact    *CoactStatsEntry `json:"coact,omitempty"`
@@ -598,6 +603,39 @@ type ShadowPointEntry struct {
 	HitRate  float64 `json:"hit_rate"`
 }
 
+// BackendStatsEntry is a real-I/O backend's slice of /v1/stats. The ring
+// fields are present on the io_uring executor only: ReadsPerEnter near the
+// pages a lookup reads means submissions batch (one io_uring_enter per
+// Drain); near 1 means every read pays its own syscall.
+type BackendStatsEntry struct {
+	Executor      string   `json:"executor"`
+	RingEnters    *int64   `json:"ring_enters,omitempty"`
+	ReadsPerEnter *float64 `json:"reads_per_enter,omitempty"`
+}
+
+// ringBackend is the executor surface of ssd.FileBackend.
+type ringBackend interface {
+	ExecutorKind() string
+	RingEnters() (n int64, ok bool)
+}
+
+// backendStats returns the executor block, nil on a simulated backend.
+func (h *Handler) backendStats(reads int64) *BackendStatsEntry {
+	rb, ok := h.curBackend().(ringBackend)
+	if !ok {
+		return nil
+	}
+	e := &BackendStatsEntry{Executor: rb.ExecutorKind()}
+	if n, ok := rb.RingEnters(); ok {
+		per := 0.0
+		if n > 0 {
+			per = float64(reads) / float64(n)
+		}
+		e.RingEnters, e.ReadsPerEnter = &n, &per
+	}
+	return e
+}
+
 // CacheStatsEntry is the DRAM cache's slice of /v1/stats, including
 // per-segment occupancy and churn under the segmented policy and the
 // pin-set counters.
@@ -702,6 +740,7 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 	resp.Device.Corruptions = ds.Corruptions
 	resp.Shards = h.shardStats(h.handle.Engine())
 	resp.Tiers = h.tierStats(h.handle.Engine())
+	resp.Backend = h.backendStats(ds.Reads)
 	resp.Coact = h.coactStats(h.handle.Engine())
 	// Recovery counters aggregate across engine swaps (retired engines'
 	// totals are folded in) so they stay monotonic for pollers.
@@ -841,6 +880,11 @@ func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	h.coactMetrics(w, h.handle.Engine())
+	if rb, ok := be.(ringBackend); ok {
+		if n, ok := rb.RingEnters(); ok {
+			fmt.Fprintf(w, "# TYPE maxembed_backend_ring_enters_total counter\nmaxembed_backend_ring_enters_total %d\n", n)
+		}
+	}
 	if lr, ok := be.(ssd.ReadLatencyReporter); ok {
 		// Measured (wall-clock) per-shard read latency of a real-I/O
 		// backend, in Prometheus cumulative-histogram form.

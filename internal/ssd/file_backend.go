@@ -11,11 +11,12 @@ import (
 
 // FileBackend is a real-I/O Backend: page reads are served from serialized
 // per-shard store files (O_DIRECT when the filesystem allows, buffered
-// otherwise) by bounded per-shard executors — an io_uring submission/
-// completion ring where the kernel interface is available, a goroutine
-// pread(2) pool everywhere — with per-queue-pair submission rings and
-// reference-counted completion buffers recycled through freelists sized to
-// the queue depth. It mirrors MultiQueue's queue-pair semantics exactly,
+// otherwise) through io_uring where the kernel interface is available —
+// one ring per queue pair spanning every shard file, submitted to and
+// reaped by the worker that owns the queue pair — and by a bounded
+// per-shard goroutine pread(2) pool everywhere else, into reference-counted
+// completion buffers recycled through freelists sized to the queue depth.
+// It mirrors MultiQueue's queue-pair semantics exactly,
 // so Run/RunOpenLoop, /v1/stats, and the fault/health machinery drive real
 // NVMe (or plain files) unchanged; latencies are measured, not simulated,
 // and folded into the same per-shard Device accounting shells the
@@ -34,9 +35,17 @@ type FileBackend struct {
 	shards []*Device // accounting shells: stats, fault counters, health taps
 	prof   Profile
 	health *HealthTracker
-	execs  []fileExecutor
 	hists  []latHist
 	free   []chan *PageBuf
+
+	rings  *ringPool    // nil: every read goes through the pread pool
+	enters atomic.Int64 // io_uring_enter calls since the last Reset
+	// The pread pool: started with the backend when there are no rings,
+	// otherwise by the first batch that cannot get one.
+	preadOnce    sync.Once
+	pread        []*preadExec
+	preadWorkers int
+	depth        int // per-shard queue depth: ring entries, pool channel capacity
 
 	now      func() time.Time
 	epoch    time.Time
@@ -54,8 +63,7 @@ type FileBackendConfig struct {
 	// so the profile's ReadLatency only labels reports.
 	Profile Profile
 	// PoolWorkers is the number of pread goroutines per shard in the
-	// fallback executor (default 8, capped at the queue depth). io_uring
-	// rings ignore it (one driver goroutine per shard).
+	// fallback executor (default 8, capped at the queue depth).
 	PoolWorkers int
 	// ForcePread skips the io_uring probe — for A/B measurement and for
 	// sandboxes where the probe itself is unwelcome.
@@ -112,13 +120,14 @@ func NewFileBackend(files []*store.FileStore, cfg FileBackendConfig) (*FileBacke
 	}
 
 	b := &FileBackend{
-		files:    files,
-		shards:   make([]*Device, n),
-		execs:    make([]fileExecutor, n),
-		hists:    make([]latHist, n),
-		free:     make([]chan *PageBuf, n),
-		now:      nw,
-		numPages: numPages,
+		files:        files,
+		shards:       make([]*Device, n),
+		hists:        make([]latHist, n),
+		free:         make([]chan *PageBuf, n),
+		now:          nw,
+		numPages:     numPages,
+		preadWorkers: workers,
+		depth:        base.QueueDepth,
 	}
 	b.epoch = nw()
 	for i := range files {
@@ -129,14 +138,11 @@ func NewFileBackend(files []*store.FileStore, cfg FileBackendConfig) (*FileBacke
 		b.shards[i] = d
 		b.free[i] = make(chan *PageBuf, base.QueueDepth)
 	}
-	for i := range files {
-		if !cfg.ForcePread {
-			if ex, ok := newRingExecutor(b, i, base.QueueDepth); ok {
-				b.execs[i] = ex
-				continue
-			}
-		}
-		b.execs[i] = newPreadExec(b, i, workers, base.QueueDepth)
+	if !cfg.ForcePread {
+		b.rings = newRingPool(b)
+	}
+	if b.rings == nil {
+		b.preadPool()
 	}
 	agg := base
 	for i := 1; i < n; i++ {
@@ -149,7 +155,7 @@ func NewFileBackend(files []*store.FileStore, cfg FileBackendConfig) (*FileBacke
 	if files[0].Direct() {
 		mode = "direct"
 	}
-	agg.Name = fmt.Sprintf("file-%dx%s-%s-%s", n, base.Name, b.execs[0].kind(), mode)
+	agg.Name = fmt.Sprintf("file-%dx%s-%s-%s", n, base.Name, b.ExecutorKind(), mode)
 	b.prof = agg
 	b.health = newHealthTracker(n, HealthConfig{})
 	for i, d := range b.shards {
@@ -183,8 +189,34 @@ func (b *FileBackend) getBuf(shard int) *PageBuf {
 	}
 }
 
+// preadPool returns the per-shard pread executors, starting them on first
+// use.
+func (b *FileBackend) preadPool() []*preadExec {
+	b.preadOnce.Do(b.startPread)
+	return b.pread
+}
+
+func (b *FileBackend) startPread() {
+	b.pread = make([]*preadExec, len(b.files))
+	for i := range b.pread {
+		b.pread[i] = newPreadExec(b, i, b.preadWorkers, b.depth)
+	}
+}
+
 // ExecutorKind reports the read executor in use: "io_uring" or "pread".
-func (b *FileBackend) ExecutorKind() string { return b.execs[0].kind() }
+func (b *FileBackend) ExecutorKind() string {
+	if b.rings != nil {
+		return "io_uring"
+	}
+	return "pread"
+}
+
+// RingEnters returns the io_uring_enter calls issued since the last
+// Reset, and false on the pread executor. Against Stats().Reads it shows
+// whether submissions batch: one enter per Drain, not one per read.
+func (b *FileBackend) RingEnters() (int64, bool) {
+	return b.enters.Load(), b.rings != nil
+}
 
 // Direct reports whether the shard files bypass the OS page cache.
 func (b *FileBackend) Direct() bool { return b.files[0].Direct() }
@@ -192,12 +224,17 @@ func (b *FileBackend) Direct() bool { return b.files[0].Direct() }
 // NumPages returns the global page count across shard files.
 func (b *FileBackend) NumPages() int { return b.numPages }
 
-// Close shuts down the executors and releases the shard files. The
-// backend must be idle: no queue pair may have undrained submissions.
+// Close tears down every ring, stops the pread pool, and releases the
+// shard files. The backend must be idle: no queue pair may have undrained
+// submissions.
 func (b *FileBackend) Close() error {
 	var err error
 	b.closeOnce.Do(func() {
-		for _, e := range b.execs {
+		if b.rings != nil {
+			b.rings.close()
+		}
+		b.preadOnce.Do(func() {}) // the pool has started by now or never will
+		for _, e := range b.pread {
 			e.close()
 		}
 		for _, f := range b.files {
@@ -270,6 +307,7 @@ func (b *FileBackend) Reset() {
 	for i := range b.hists {
 		b.hists[i].reset()
 	}
+	b.enters.Store(0)
 	b.frontier.Store(0)
 }
 
@@ -404,12 +442,12 @@ func (h *latHist) snapshot() ReadLatencySnapshot {
 	return s
 }
 
-// fileReq is one read submitted to a shard executor.
+// fileReq is one read on its way to a ring or a shard's pread executor.
 type fileReq struct {
 	global     PageID
 	local      PageID
 	buf        *PageBuf
-	out        *compInbox
+	out        *compInbox // pread path only
 	submitWall int64
 	submitVirt int64
 }
@@ -423,17 +461,8 @@ type fileComp struct {
 	completeWall int64
 }
 
-// fileExecutor issues a shard's reads: an io_uring ring or a pread pool.
-type fileExecutor interface {
-	// submit enqueues a read; it blocks while the submission ring is full
-	// (the real-I/O analogue of Queue's virtual queue-full wait).
-	submit(fileReq)
-	kind() string
-	close()
-}
-
-// compInbox is a queue pair's completion mailbox. Executors push from
-// their goroutines; the owning worker's Drain blocks until every
+// compInbox is a queue pair's completion mailbox on the pread path. The
+// pool goroutines push; the owning worker's Drain blocks until every
 // outstanding submission has arrived. Capacity is retained across
 // batches, so steady-state push/take allocate nothing.
 type compInbox struct {
@@ -449,14 +478,14 @@ func (in *compInbox) push(c fileComp) {
 	in.cond.Signal()
 }
 
-// take blocks until n completions are present, moves them into dst
+// take blocks until n completions are present, appends them to dst
 // (reusing its capacity), and empties the inbox.
 func (in *compInbox) take(n int, dst []fileComp) []fileComp {
 	in.mu.Lock()
 	for len(in.comps) < n {
 		in.cond.Wait()
 	}
-	dst = append(dst[:0], in.comps...)
+	dst = append(dst, in.comps...)
 	in.comps = in.comps[:0]
 	in.mu.Unlock()
 	return dst
@@ -464,7 +493,8 @@ func (in *compInbox) take(n int, dst []fileComp) []fileComp {
 
 // preadExec is the portable executor: a bounded pool of goroutines each
 // looping pread(2) (ReadAt) calls against the shard file. The request
-// channel's capacity is the submission ring.
+// channel's capacity is the submission ring: submit blocks while it is
+// full (the real-I/O analogue of Queue's virtual queue-full wait).
 type preadExec struct {
 	fb    *FileBackend
 	shard int
@@ -505,26 +535,28 @@ func (e *preadExec) run() {
 }
 
 func (e *preadExec) submit(r fileReq) { e.reqC <- r }
-func (e *preadExec) kind() string     { return "pread" }
 func (e *preadExec) close() {
 	close(e.reqC)
 	e.wg.Wait()
 }
 
-// FileQueue is a queue pair over a FileBackend: per-shard submission into
-// the shard executors, completion reaping through a private inbox. Like
+// FileQueue is a queue pair over a FileBackend. On the io_uring path it
+// borrows one of the backend's rings for the span of a batch — first
+// Submit to Drain — stamps SQEs into it and reaps it itself; on the pread
+// path it feeds the shard pools and collects from a private inbox. Like
 // MultiQueue it is single-owner; unlike MultiQueue its times are measured.
 // The worker's virtual clock is anchored to the wall clock at the first
 // submit after a drain, so a batch's issue/completion stamps advance by
 // real elapsed time.
 type FileQueue struct {
 	fb       *FileBackend
+	ring     *uringRing // on loan from fb.rings while a batch is open
 	inbox    compInbox
 	pending  int
 	inflight []int // per-shard submitted-not-drained
 	high     []int
 	merged   []Completion
-	scratch  []fileComp
+	scratch  []fileComp // completions reaped or taken, awaiting Drain
 
 	anchorWall int64
 	anchorVirt int64
@@ -539,31 +571,38 @@ func (q *FileQueue) virtOf(wall int64) int64 {
 func (q *FileQueue) NumShards() int { return len(q.inflight) }
 
 // Submit implements QueuePair: it acquires a completion buffer from the
-// shard's freelist and enqueues the read on the shard's executor,
-// blocking while the submission ring is full — real backpressure in place
-// of the simulator's virtual queue-full wait.
+// shard's freelist and stamps the read into the batch's ring — no syscall
+// — or enqueues it on the shard's pread pool. A full ring is flushed and
+// partly reaped, a full pool channel blocks: real backpressure in place of
+// the simulator's virtual queue-full wait.
 func (q *FileQueue) Submit(page PageID, nowNS int64) int64 {
 	shard, local := q.fb.ShardOf(page)
+	submitWall := q.fb.wallNS()
 	if q.pending == 0 {
-		q.anchorWall = q.fb.wallNS()
+		q.anchorWall = submitWall
 		q.anchorVirt = nowNS
+		if q.fb.rings != nil {
+			q.ring = q.fb.rings.get()
+		}
 	}
 	buf := q.fb.getBuf(shard)
 	buf.rc.Store(1)
 	buf.img = nil
-	submitWall := q.fb.wallNS()
 	issue := q.virtOf(submitWall)
 	if issue < nowNS {
 		issue = nowNS
 	}
-	q.fb.execs[shard].submit(fileReq{
+	req := fileReq{
 		global:     page,
 		local:      local,
 		buf:        buf,
 		out:        &q.inbox,
 		submitWall: submitWall,
 		submitVirt: issue,
-	})
+	}
+	if q.ring == nil || !q.ringSubmit(shard, req) {
+		q.fb.preadPool()[shard].submit(req)
+	}
 	q.pending++
 	q.inflight[shard]++
 	if q.inflight[shard] > q.high[shard] {
@@ -585,8 +624,10 @@ func (q *FileQueue) Outstanding(_ int64) int { return q.pending }
 func (q *FileQueue) HighWater(shard int) int { return q.high[shard] }
 
 // Drain implements QueuePair: it blocks until every submitted read has
-// completed, then hands back completions carrying their page buffers —
-// exactly one reference each, owned by the caller — ordered by
+// completed — on the io_uring path in one io_uring_enter that submits the
+// batch and waits for all of it, after which the ring goes back to the
+// backend — then hands back completions carrying their page buffers,
+// exactly one reference each, owned by the caller, ordered by
 // (completion time, page). Failed reads release their buffer here and
 // surface with a nil Buf. The slice is reused by the next Drain.
 func (q *FileQueue) Drain(nowNS int64) (doneNS int64, comps []Completion) {
@@ -595,7 +636,12 @@ func (q *FileQueue) Drain(nowNS int64) (doneNS int64, comps []Completion) {
 	if q.pending == 0 {
 		return doneNS, q.merged
 	}
-	q.scratch = q.inbox.take(q.pending, q.scratch)
+	if q.ring != nil {
+		q.ringDrain()
+	}
+	if n := q.pending - len(q.scratch); n > 0 {
+		q.scratch = q.inbox.take(n, q.scratch)
+	}
 	for i := range q.scratch {
 		fc := &q.scratch[i]
 		c := Completion{

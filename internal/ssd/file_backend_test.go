@@ -1,8 +1,11 @@
 package ssd
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"maxembed/internal/embedding"
@@ -10,8 +13,8 @@ import (
 	"maxembed/internal/store"
 )
 
-// buildBackendFiles writes a sharded store to disk and opens it per shard.
-func buildBackendFiles(t *testing.T, shards int) ([]*store.FileStore, *store.Sharded, *layout.Layout) {
+// writeShardFiles writes a sharded store to disk, one file per shard.
+func writeShardFiles(t *testing.T, shards int) ([]string, *store.Sharded, *layout.Layout) {
 	t.Helper()
 	syn, err := embedding.NewSynthesizer(16, 3)
 	if err != nil {
@@ -23,11 +26,10 @@ func buildBackendFiles(t *testing.T, shards int) ([]*store.FileStore, *store.Sha
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	files := make([]*store.FileStore, shards)
-	for i := 0; i < shards; i++ {
-		path := filepath.Join(dir, "shard.bin")
-		path = filepath.Join(dir, filepath.Base(path)+"."+string(rune('0'+i)))
-		f, err := os.Create(path)
+	paths := make([]string, shards)
+	for i := range paths {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("shard.bin.%d", i))
+		f, err := os.Create(paths[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,24 +39,46 @@ func buildBackendFiles(t *testing.T, shards int) ([]*store.FileStore, *store.Sha
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return paths, sh, lay
+}
+
+func openShardFiles(t *testing.T, paths []string) []*store.FileStore {
+	t.Helper()
+	files := make([]*store.FileStore, len(paths))
+	for i, path := range paths {
 		fs, _, err := store.OpenFileAuto(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		files[i] = fs
 	}
-	return files, sh, lay
+	return files
 }
 
-func newTestFileBackend(t *testing.T, shards int, cfg FileBackendConfig) (*FileBackend, *store.Sharded, *layout.Layout) {
+// openBackend assembles a backend over the shard files; several backends
+// may share one set of paths.
+func openBackend(t *testing.T, paths []string, cfg FileBackendConfig) *FileBackend {
 	t.Helper()
-	files, sh, lay := buildBackendFiles(t, shards)
-	fb, err := NewFileBackend(files, cfg)
+	fb, err := NewFileBackend(openShardFiles(t, paths), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fb.Close() })
-	return fb, sh, lay
+	return fb
+}
+
+// buildBackendFiles writes a sharded store to disk and opens it per shard.
+func buildBackendFiles(t *testing.T, shards int) ([]*store.FileStore, *store.Sharded, *layout.Layout) {
+	t.Helper()
+	paths, sh, lay := writeShardFiles(t, shards)
+	return openShardFiles(t, paths), sh, lay
+}
+
+func newTestFileBackend(t *testing.T, shards int, cfg FileBackendConfig) (*FileBackend, *store.Sharded, *layout.Layout) {
+	t.Helper()
+	paths, sh, lay := writeShardFiles(t, shards)
+	return openBackend(t, paths, cfg), sh, lay
 }
 
 func readAllPages(t *testing.T, fb *FileBackend, sh *store.Sharded) {
@@ -136,14 +160,231 @@ func TestFileBackendServesPages(t *testing.T) {
 	}
 }
 
-func TestFileBackendURingMatchesPread(t *testing.T) {
-	fb, sh, _ := newTestFileBackend(t, 2, FileBackendConfig{})
+// readBatches reads pages through one fresh queue pair, batch pages per
+// Drain, and returns a copy of every page image in submission order plus
+// the queue pair. Every completion buffer is released, and must then be
+// unreferenced.
+func readBatches(t *testing.T, fb *FileBackend, pages []PageID, batch int) ([][]byte, QueuePair) {
+	t.Helper()
+	qp := fb.NewQueuePair()
+	imgs := make([][]byte, 0, len(pages))
+	for base := 0; base < len(pages); base += batch {
+		chunk := pages[base:min(base+batch, len(pages))]
+		now := fb.Frontier()
+		for _, p := range chunk {
+			qp.Submit(p, now)
+		}
+		_, comps := qp.Drain(now)
+		if len(comps) != len(chunk) {
+			t.Fatalf("drained %d completions, submitted %d", len(comps), len(chunk))
+		}
+		byPage := map[PageID][]Completion{}
+		for _, c := range comps {
+			if c.Err != nil || c.Buf == nil {
+				t.Fatalf("page %d: err %v, buf %v", c.Page, c.Err, c.Buf)
+			}
+			byPage[c.Page] = append(byPage[c.Page], c)
+		}
+		for _, p := range chunk {
+			c := byPage[p][0]
+			byPage[p] = byPage[p][1:]
+			imgs = append(imgs, append([]byte(nil), c.Buf.Bytes()...))
+			c.Buf.Release()
+			if rc := c.Buf.rc.Load(); rc != 0 {
+				t.Fatalf("page %d: buffer holds %d references after release", p, rc)
+			}
+		}
+	}
+	return imgs, qp
+}
+
+// ringBackendOrSkip opens an io_uring backend over paths, skipping the
+// test where the kernel interface is unavailable.
+func ringBackendOrSkip(t *testing.T, paths []string, cfg FileBackendConfig) *FileBackend {
+	t.Helper()
+	fb := openBackend(t, paths, cfg)
 	if fb.ExecutorKind() != "io_uring" {
 		t.Skipf("io_uring unavailable here (executor %s)", fb.ExecutorKind())
 	}
-	readAllPages(t, fb, sh)
-	if st := fb.Stats(); st.Errors != 0 || st.Reads != int64(fb.NumPages()) {
+	return fb
+}
+
+// TestFileBackendURingMatchesPread: one ring drives four shard fds and
+// returns what the pread pool returns — page images, per-shard read
+// counts, per-shard queue high-water marks.
+func TestFileBackendURingMatchesPread(t *testing.T) {
+	paths, sh, _ := writeShardFiles(t, 4)
+	ring := ringBackendOrSkip(t, paths, FileBackendConfig{})
+	pread := openBackend(t, paths, FileBackendConfig{ForcePread: true})
+	readAllPages(t, ring, sh)
+	ring.Reset()
+
+	var pages []PageID
+	for round := 0; round < 3; round++ {
+		for p := 0; p < ring.NumPages(); p++ {
+			pages = append(pages, PageID(p))
+		}
+	}
+	ringImgs, ringQP := readBatches(t, ring, pages, 11)
+	preadImgs, preadQP := readBatches(t, pread, pages, 11)
+	for i := range pages {
+		if !bytes.Equal(ringImgs[i], preadImgs[i]) {
+			t.Fatalf("page %d: io_uring image differs from pread image", pages[i])
+		}
+	}
+	for s := 0; s < 4; s++ {
+		if r, p := ring.Shard(s).Stats().Reads, pread.Shard(s).Stats().Reads; r != p || r == 0 {
+			t.Errorf("shard %d: %d io_uring reads, %d pread reads", s, r, p)
+		}
+		if r, p := ringQP.HighWater(s), preadQP.HighWater(s); r != p {
+			t.Errorf("shard %d: high water %d on io_uring, %d on pread", s, r, p)
+		}
+	}
+	if st := ring.Stats(); st.Errors != 0 || st.Reads != int64(len(pages)) {
 		t.Errorf("io_uring stats: %+v", st)
+	}
+	// 11 pages a batch through one enter each: the counter must show it.
+	enters, ok := ring.RingEnters()
+	if batches := int64((len(pages) + 10) / 11); !ok || enters < batches || enters > 2*batches {
+		t.Errorf("%d io_uring_enter calls for %d batches", enters, batches)
+	}
+	if _, ok := pread.RingEnters(); ok {
+		t.Error("pread executor reports ring enters")
+	}
+}
+
+// TestFileBackendRingFull: a batch four times the ring's size goes through
+// one queue pair — Submit flushes and reaps to make room — and every page
+// comes back as the pread path returns it, every buffer released.
+func TestFileBackendRingFull(t *testing.T) {
+	prof := P5800X
+	prof.QueueDepth = 8
+	paths, _, _ := writeShardFiles(t, 2)
+	ring := ringBackendOrSkip(t, paths, FileBackendConfig{Profile: prof})
+	pread := openBackend(t, paths, FileBackendConfig{Profile: prof, ForcePread: true})
+	pages := make([]PageID, 4*prof.QueueDepth) // a power of two: the ring has exactly that many entries
+	for i := range pages {
+		pages[i] = PageID((i * 7) % ring.NumPages())
+	}
+	ringImgs, _ := readBatches(t, ring, pages, len(pages))
+	preadImgs, _ := readBatches(t, pread, pages, len(pages))
+	for i := range pages {
+		if !bytes.Equal(ringImgs[i], preadImgs[i]) {
+			t.Fatalf("read %d (page %d): io_uring image differs from pread image", i, pages[i])
+		}
+	}
+	if st := ring.Stats(); st.Errors != 0 || st.Reads != int64(len(pages)) {
+		t.Errorf("stats after a ring-full batch: %+v", st)
+	}
+}
+
+// TestFileBackendConcurrentQueuePairs: eight workers, each on its own
+// queue pair, borrow and return rings over four shards; every completion
+// is accounted once in the stats and in the latency histograms.
+func TestFileBackendConcurrentQueuePairs(t *testing.T) {
+	for _, forcePread := range []bool{false, true} {
+		fb, _, _ := newTestFileBackend(t, 4, FileBackendConfig{ForcePread: forcePread})
+		const workers, batches, perBatch = 8, 200, 6
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				qp := fb.NewQueuePair()
+				for b := 0; b < batches; b++ {
+					now := fb.Frontier()
+					for i := 0; i < perBatch; i++ {
+						qp.Submit(PageID((w+b*perBatch+i)%fb.NumPages()), now)
+					}
+					_, comps := qp.Drain(now)
+					if len(comps) != perBatch {
+						t.Errorf("worker %d batch %d: %d completions", w, b, len(comps))
+						return
+					}
+					for _, c := range comps {
+						if c.Err != nil {
+							t.Errorf("worker %d page %d: %v", w, c.Page, c.Err)
+							return
+						}
+						c.Buf.Release()
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		const total = workers * batches * perBatch
+		var observed int64
+		for s := 0; s < fb.NumShards(); s++ {
+			observed += fb.ShardReadLatency(s).Count
+		}
+		if st := fb.Stats(); st.Reads != total || st.Errors != 0 || observed != total {
+			t.Errorf("%s: %d reads, %d errors, %d latency observations, want %d/0/%d",
+				fb.ExecutorKind(), st.Reads, st.Errors, observed, total, total)
+		}
+	}
+}
+
+// freeBufs empties and refills a shard's buffer freelist, failing on a
+// buffer that was recycled twice.
+func freeBufs(t *testing.T, fb *FileBackend, shard int) int {
+	t.Helper()
+	seen := map[*PageBuf]bool{}
+	for len(fb.free[shard]) > 0 {
+		b := <-fb.free[shard]
+		if seen[b] {
+			t.Fatalf("shard %d: buffer recycled twice", shard)
+		}
+		seen[b] = true
+	}
+	for b := range seen {
+		fb.free[shard] <- b
+	}
+	return len(seen)
+}
+
+// TestFileBackendReadErrors: a page past the end of the table and a shard
+// file truncated after open both surface as failed completions without a
+// buffer; the buffer goes back to the freelist exactly once and the queue
+// pair keeps serving.
+func TestFileBackendReadErrors(t *testing.T) {
+	for _, forcePread := range []bool{false, true} {
+		paths, _, _ := writeShardFiles(t, 2)
+		fb := openBackend(t, paths, FileBackendConfig{ForcePread: forcePread})
+		qp := fb.NewQueuePair()
+		batch := func(page PageID) Completion {
+			t.Helper()
+			now := fb.Frontier()
+			qp.Submit(page, now)
+			_, comps := qp.Drain(now)
+			if len(comps) != 1 || comps[0].Page != page {
+				t.Fatalf("%s: page %d drained as %+v", fb.ExecutorKind(), page, comps)
+			}
+			if comps[0].Buf != nil {
+				comps[0].Buf.Release()
+			}
+			return comps[0]
+		}
+		mustFail := func(page PageID, what string) {
+			t.Helper()
+			shard, _ := fb.ShardOf(page)
+			if c := batch(page); c.Err == nil || c.Buf != nil {
+				t.Fatalf("%s: %s: err %v, buf %v", fb.ExecutorKind(), what, c.Err, c.Buf)
+			}
+			if n := freeBufs(t, fb, shard); n != 1 {
+				t.Fatalf("%s: %s: %d buffers on shard %d's freelist, want 1", fb.ExecutorKind(), what, n, shard)
+			}
+		}
+		mustFail(PageID(fb.NumPages()), "page past the end") // shard 0 or 1
+		if err := os.Truncate(paths[1], 100); err != nil {
+			t.Fatal(err)
+		}
+		mustFail(1, "truncated shard file")
+		if c := batch(0); c.Err != nil {
+			t.Fatalf("%s: batch after the failures: %v", fb.ExecutorKind(), c.Err)
+		}
+		if st := fb.Stats(); st.Errors != 2 || st.Reads != 3 {
+			t.Errorf("%s: stats %+v, want 3 reads with 2 errors", fb.ExecutorKind(), st)
+		}
 	}
 }
 

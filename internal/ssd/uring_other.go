@@ -2,8 +2,15 @@
 
 package ssd
 
-// newRingExecutor reports io_uring unavailable off Linux; the file
-// backend always falls back to the portable pread pool.
-func newRingExecutor(*FileBackend, int, int) (fileExecutor, bool) {
-	return nil, false
-}
+// io_uring is Linux-only: off Linux the backend has no ring pool and every
+// read goes through the portable pread pool.
+type (
+	uringRing struct{}
+	ringPool  struct{}
+)
+
+func newRingPool(*FileBackend) *ringPool        { return nil }
+func (*ringPool) get() *uringRing               { return nil }
+func (*ringPool) close()                        {}
+func (*FileQueue) ringSubmit(int, fileReq) bool { return false }
+func (*FileQueue) ringDrain()                   {}
