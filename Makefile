@@ -82,12 +82,16 @@ race-file:
 # The read path's hard allocation gate: once warm, a lookup (single and
 # batched) over the real-I/O backend must allocate nothing at all, without
 # a DRAM cache and with one that evicts on every call; so must the cache's
-# own Get/Put mix and the slab behind it. CI runs this as the bench-smoke
-# gate, with one pass of the evicting-Put benchmarks for their B/op.
+# own Get/Put mix and the slab behind it, and the /v1/lookup JSON codec
+# (request decode and reply encode at 0, the whole handler at a small
+# constant independent of key count). CI runs this as the bench-smoke gate,
+# with one pass of the evicting-Put and codec benchmarks for their B/op.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestFileBackendLookupZeroAllocs|TestFileBackendBatchZeroAllocs' -v ./internal/serving
 	$(GO) test -count=1 -run 'TestCacheHitPathAllocs|TestCachePutAllocBudget|TestSlabCarvesAndRecycles' -v ./internal/cache
 	$(GO) test -run '^$$' -bench 'BenchmarkCachePutEvict|BenchmarkSegmentedPutEvict' -benchtime=1x -benchmem ./internal/cache
+	$(GO) test -count=1 -run 'TestHandlerLookupSteadyStateAllocs|TestDecodeLookupKeysZeroAllocs|TestEncodeJSONZeroAllocs' -v ./internal/server
+	$(GO) test -run '^$$' -bench 'BenchmarkEncodeJSON|BenchmarkDecodeLookupKeys' -benchtime=1x -benchmem ./internal/server
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

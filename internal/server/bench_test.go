@@ -14,9 +14,9 @@ import (
 
 // BenchmarkHandlerLookup measures the full isolated handler path — decode,
 // serve, response build (pooled arena), JSON encode — the per-request cost
-// floor of the HTTP layer. Run with -benchmem to watch AllocsPerOp: the
-// pooled response arena keeps steady-state allocations independent of key
-// count (one arena reuse + map + encoder scratch, not one slice per key).
+// floor of the HTTP layer. Run with -benchmem to watch AllocsPerOp: pooled
+// request and response storage keeps steady-state allocations independent
+// of key count (TestHandlerLookupSteadyStateAllocs holds the budget).
 func BenchmarkHandlerLookup(b *testing.B) {
 	s := newTestStack(b, 0.2, nil)
 	h := New(s.eng, s.dev, WithoutCoalescing())
@@ -84,37 +84,43 @@ func BenchmarkServerLookupCoalesced(b *testing.B) {
 }
 
 // TestHandlerLookupSteadyStateAllocs guards the hot-path allocation budget
-// of the isolated lookup handler: after warm-up, repeated identical lookups
-// must stay within a fixed allocation budget regardless of how many keys the
-// response carries (the response vectors live in one pooled arena). The
-// bound is deliberately generous — JSON encoding and the response map
-// dominate — but catches a regression to per-key vector allocation.
+// of the isolated lookup handler: after warm-up a lookup allocates a small
+// constant, the same for 2 keys as for 40. Everything the request and the
+// reply carry lives in pooled storage (body, keys, lease, response
+// buffer); what is left belongs to the harness (httptest's request and
+// recorder, 16) and to net/http's header map (the Content-Length value).
 func TestHandlerLookupSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
 	s := newTestStack(t, 0.2, nil)
 	h := New(s.eng, s.dev, WithoutCoalescing())
-	body, err := json.Marshal(LookupRequest{Keys: s.tr.Queries[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := string(body)
-	post := func() {
-		req := httptest.NewRequest(http.MethodPost, "/v1/lookup", strings.NewReader(payload))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d", rec.Code)
+	const budget = 24
+	for _, keys := range []int{2, 40} {
+		q := make([]uint32, keys)
+		for i := range q {
+			q[i] = uint32(i * 19)
 		}
-	}
-	for i := 0; i < 50; i++ {
-		post()
-	}
-	keys := len(s.tr.Queries[0])
-	allocs := testing.AllocsPerRun(200, post)
-	t.Logf("handler allocs/op: %.1f for %d keys", allocs, keys)
-	// Budget: fixed request/encoder overhead plus a small constant per key
-	// (map entry + JSON number formatting) — NOT a vector slice per key.
-	budget := 60 + 6*float64(keys)
-	if allocs > budget {
-		t.Errorf("handler allocates %.1f/op for %d keys, budget %.0f", allocs, keys, budget)
+		body, err := json.Marshal(LookupRequest{Keys: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := string(body)
+		post := func() {
+			req := httptest.NewRequest(http.MethodPost, "/v1/lookup", strings.NewReader(payload))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d", rec.Code)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			post()
+		}
+		allocs := testing.AllocsPerRun(200, post)
+		t.Logf("handler allocs/op: %.1f for %d keys", allocs, keys)
+		if allocs > budget {
+			t.Errorf("handler allocates %.1f/op for %d keys, budget %d", allocs, keys, budget)
+		}
 	}
 }

@@ -24,13 +24,6 @@ const (
 	defaultCoalesceQueue = 1024
 )
 
-// lookupJob is one request handed to the coalescer. done is buffered so the
-// coalescer never blocks on a slow (or departed) client.
-type lookupJob struct {
-	keys []serving.Key
-	done chan lookupOutcome
-}
-
 // lookupOutcome is a finished lookup: a leased response snapshot (keys
 // copied, zero-copy buffer views retained, value vectors in the lease's
 // arena) or an engine error. The handler encodes from the lease and
@@ -46,7 +39,7 @@ type lookupOutcome struct {
 // generation; an engine swap makes it re-bind before the next batch.
 type coalescer struct {
 	h        *Handler
-	queue    chan lookupJob
+	queue    chan *lookupJob
 	quit     chan struct{}
 	exited   chan struct{}
 	closing  atomic.Bool
@@ -54,8 +47,11 @@ type coalescer struct {
 	maxBatch int
 	maxWait  time.Duration
 
-	w   *serving.Worker // owned by the run goroutine
-	gen uint64          // engine generation w was created from
+	// Owned by the run goroutine.
+	w       *serving.Worker
+	gen     uint64          // engine generation w was created from
+	queries [][]serving.Key // serve's per-batch key lists
+	timer   *time.Timer     // gather's window; stopped and drained between uses
 
 	// Observability: batch-size histogram over every dispatch (bypasses
 	// count as size 1), wall-clock gather wait per dispatch, and counters.
@@ -74,7 +70,7 @@ func newCoalescer(h *Handler, maxBatch int, maxWait time.Duration, queueLen int)
 	}
 	c := &coalescer{
 		h:          h,
-		queue:      make(chan lookupJob, queueLen),
+		queue:      make(chan *lookupJob, queueLen),
 		quit:       make(chan struct{}),
 		exited:     make(chan struct{}),
 		maxBatch:   maxBatch,
@@ -87,7 +83,7 @@ func newCoalescer(h *Handler, maxBatch int, maxWait time.Duration, queueLen int)
 // submit enqueues a job, reporting false when the queue is full
 // (backpressure: the handler sheds the request instead of queueing
 // unboundedly). Jobs are never enqueued once shutdown has begun.
-func (c *coalescer) submit(job lookupJob) bool {
+func (c *coalescer) submit(job *lookupJob) bool {
 	if c.closing.Load() {
 		return false
 	}
@@ -106,7 +102,7 @@ func (c *coalescer) run() {
 	defer close(c.exited)
 	eng, gen := c.h.handle.Load()
 	c.w, c.gen = eng.NewWorker(), gen
-	batch := make([]lookupJob, 0, c.maxBatch)
+	batch := make([]*lookupJob, 0, c.maxBatch)
 	for {
 		select {
 		case job := <-c.queue:
@@ -149,7 +145,7 @@ func (c *coalescer) rebind() {
 // gate matters because service is fast relative to arrival: concurrent
 // requests rarely queue up behind each other, so "queue momentarily
 // empty" must not be read as "traffic is light".
-func (c *coalescer) gather(batch []lookupJob, first lookupJob) []lookupJob {
+func (c *coalescer) gather(batch []*lookupJob, first *lookupJob) []*lookupJob {
 	start := c.h.now()
 	batch = append(batch, first)
 	for len(batch) < c.maxBatch {
@@ -167,22 +163,26 @@ func (c *coalescer) gather(batch []lookupJob, first lookupJob) []lookupJob {
 		return batch
 	}
 	if len(batch) < c.maxBatch && c.maxWait > 0 {
-		timer := time.NewTimer(c.maxWait)
+		if c.timer == nil {
+			c.timer = time.NewTimer(c.maxWait)
+		} else {
+			c.timer.Reset(c.maxWait)
+		}
 		for len(batch) < c.maxBatch {
 			select {
 			case job := <-c.queue:
 				batch = append(batch, job)
-			case <-timer.C:
+			case <-c.timer.C:
 				c.waits.Record(c.h.now().Sub(start).Nanoseconds())
 				return batch
 			}
 		}
 		// Stop-and-drain: the timer may have fired between the last
-		// receive and Stop, leaving a value in timer.C that would
-		// otherwise sit in the channel for the timer's lifetime.
-		if !timer.Stop() {
+		// receive and Stop, leaving a value in timer.C that the next
+		// gather's Reset would otherwise inherit as an instant expiry.
+		if !c.timer.Stop() {
 			select {
-			case <-timer.C:
+			case <-c.timer.C:
 			default:
 			}
 		}
@@ -196,7 +196,7 @@ func (c *coalescer) gather(batch []lookupJob, first lookupJob) []lookupJob {
 // value vectors copied — because the worker's scratch is reused by the
 // next batch the moment this returns; the waiting handler goroutines then
 // encode their responses concurrently from the leases.
-func (c *coalescer) serve(batch []lookupJob) {
+func (c *coalescer) serve(batch []*lookupJob) {
 	h := c.h
 	c.rebind()
 	c.batches.Inc()
@@ -205,11 +205,11 @@ func (c *coalescer) serve(batch []lookupJob) {
 		c.coalesced.Add(int64(len(batch)))
 	}
 
-	queries := make([][]serving.Key, len(batch))
-	for i, job := range batch {
-		queries[i] = job.keys
+	c.queries = c.queries[:0]
+	for _, job := range batch {
+		c.queries = append(c.queries, job.keys)
 	}
-	br, err := c.w.LookupBatch(queries)
+	br, err := c.w.LookupBatch(c.queries)
 	if err != nil {
 		for _, job := range batch {
 			job.done <- lookupOutcome{err: err}

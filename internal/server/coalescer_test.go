@@ -81,7 +81,7 @@ func TestCoalescerFormsBatchesUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			defer h.coal.inflight.Add(-1)
 			<-start
-			job := lookupJob{keys: s.tr.Queries[i], done: make(chan lookupOutcome, 1)}
+			job := &lookupJob{keys: s.tr.Queries[i], done: make(chan lookupOutcome, 1)}
 			if !h.coal.submit(job) {
 				errs <- fmt.Errorf("request %d shed with an empty queue", i)
 				return
@@ -127,7 +127,7 @@ func TestCoalescerBackpressure(t *testing.T) {
 	// deterministically (no draining goroutine races the test).
 	h := New(s.eng, s.dev, WithoutCoalescing())
 	h.coal = newCoalescer(h, 4, time.Millisecond, 1)
-	h.coal.queue <- lookupJob{keys: []uint32{1}, done: make(chan lookupOutcome, 1)}
+	h.coal.queue <- &lookupJob{keys: []uint32{1}, done: make(chan lookupOutcome, 1)}
 
 	srv := httptest.NewServer(h)
 	defer srv.Close()

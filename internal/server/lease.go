@@ -37,6 +37,22 @@ var leasePool = sync.Pool{New: func() any { return new(respLease) }}
 // respBufPool recycles response body buffers across requests.
 var respBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
+// Pool caps: a pooled object that has grown past these is dropped rather
+// than returned, so one jumbo request (65 536 keys is a ~40 MB JSON reply)
+// does not park its buffers on every P for the life of the process.
+const (
+	maxPooledBytes = 1 << 20 // request bodies, response bodies, lease arenas
+	maxPooledKeys  = 1 << 12 // request key lists, lease entry slices
+)
+
+// putRespBuf returns a response body buffer to the pool, or drops it when
+// it has outgrown the cap.
+func putRespBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBytes {
+		respBufPool.Put(bp)
+	}
+}
+
 // newLease snapshots res out of worker scratch. Must be called before the
 // owning worker's next lookup; the lease stays valid until release.
 func newLease(res serving.Result) *respLease {
@@ -80,14 +96,17 @@ func newLease(res serving.Result) *respLease {
 }
 
 // release unpins the lease's completion buffers and returns it to the
-// pool. The lease must not be used afterwards.
+// pool (or drops it, past the pool caps). The lease must not be used
+// afterwards.
 func (l *respLease) release() {
 	for i := range l.refs {
 		l.refs[i].Release()
 		l.refs[i] = serving.SlotRef{}
 	}
 	l.refs = l.refs[:0]
-	leasePool.Put(l)
+	if cap(l.keys) <= maxPooledKeys && 4*cap(l.arena) <= maxPooledBytes {
+		leasePool.Put(l)
+	}
 }
 
 // refAt returns the ref view for entry i, or the zero ref when the entry
@@ -129,21 +148,10 @@ func toLookupStats(st serving.QueryStats) LookupStats {
 	}
 }
 
-// appendJSONFloat32 appends v in the shortest round-trippable decimal
-// form. Non-finite values (never produced by the store's verified
-// payloads, but bytes are bytes) become 0 so the JSON stays valid.
-func appendJSONFloat32(buf []byte, v float32) []byte {
-	f := float64(v)
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(buf, '0')
-	}
-	return strconv.AppendFloat(buf, f, 'g', -1, 32)
-}
-
 // encodeJSON appends the LookupResponse JSON encoding of the lease to
-// buf. Hand-rolled: ref-backed vectors are decoded element-at-a-time
-// straight from the completion buffers into the body with no intermediate
-// map, slice-of-slices, or reflection pass.
+// buf. Hand-rolled: ref-backed vectors are rendered straight from the
+// completion buffers' bytes into the body (f32json.go) with no
+// intermediate map, slice-of-slices, or reflection pass.
 func (l *respLease) encodeJSON(buf []byte) []byte {
 	buf = append(buf, `{"embeddings":{`...)
 	for i, k := range l.keys {
@@ -152,24 +160,12 @@ func (l *respLease) encodeJSON(buf []byte) []byte {
 		}
 		buf = append(buf, '"')
 		buf = strconv.AppendUint(buf, uint64(k), 10)
-		buf = append(buf, `":[`...)
+		buf = append(buf, `":`...)
 		if ref := l.refAt(i); ref.Valid() {
-			n := ref.Dim()
-			for j := 0; j < n; j++ {
-				if j > 0 {
-					buf = append(buf, ',')
-				}
-				buf = appendJSONFloat32(buf, ref.Float32(j))
-			}
+			buf = appendFloat32sLE(buf, ref.Payload())
 		} else {
-			for j, f := range l.vecs[i] {
-				if j > 0 {
-					buf = append(buf, ',')
-				}
-				buf = appendJSONFloat32(buf, f)
-			}
+			buf = appendFloat32s(buf, l.vecs[i])
 		}
-		buf = append(buf, ']')
 	}
 	buf = append(buf, '}')
 	if l.degraded {

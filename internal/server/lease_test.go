@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,6 +35,11 @@ type fileStack struct {
 
 func newFileStack(t testing.TB, shards int, mutate func(*serving.Config)) *fileStack {
 	t.Helper()
+	return newFileStackDim(t, shards, testDim, mutate)
+}
+
+func newFileStackDim(t testing.TB, shards, dim int, mutate func(*serving.Config)) *fileStack {
+	t.Helper()
 	p := workload.Profile{
 		Name: "t", Items: 800, Queries: 1500, MeanQueryLen: 8,
 		Communities: 60, CommunityAffinity: 0.8, CommunitySpread: 0.5,
@@ -48,13 +54,13 @@ func newFileStack(t testing.TB, shards int, mutate func(*serving.Config)) *fileS
 		t.Fatal(err)
 	}
 	lay, err := placement.Build(placement.StrategyMaxEmbed, g, placement.Options{
-		Capacity: embedding.PageCapacity(4096, testDim), ReplicationRatio: 0.2, Seed: 1,
+		Capacity: embedding.PageCapacity(4096, dim), ReplicationRatio: 0.2, Seed: 1,
 		Shards: shards,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn, err := embedding.NewSynthesizer(testDim, 5)
+	syn, err := embedding.NewSynthesizer(dim, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,4 +448,120 @@ func textAfter(t *testing.T, text, prefix string) string {
 		t.Fatalf("metrics output missing %q", prefix)
 	}
 	return text[i+len(prefix):]
+}
+
+// Codec benchmark shape: one reply of 26 keys × 64 dimensions, the repo
+// benchmark's mean query.
+const (
+	codecKeys = 26
+	codecDim  = 64
+)
+
+// codecLeases returns a ref-backed lease (zero-copy views out of a file
+// backend's completion buffers) and an arena-backed one (value vectors, as
+// cache hits and simulated reads produce) over the same keys and values.
+func codecLeases(t testing.TB) (ref, arena *respLease) {
+	t.Helper()
+	s := newFileStackDim(t, 1, codecDim, nil)
+	keys := make([]uint32, codecKeys)
+	for i := range keys {
+		keys[i] = uint32(i * 29)
+	}
+	res, err := s.eng.NewWorker().Lookup(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref = newLease(res)
+	t.Cleanup(ref.release)
+	for i := range ref.keys {
+		if !ref.refAt(i).Valid() {
+			t.Fatalf("entry %d of the file-backend lease is not ref-backed", i)
+		}
+	}
+	// Same entries in the same (engine-chosen) order.
+	vals := serving.Result{Keys: ref.keys, Vectors: make([][]float32, len(ref.keys))}
+	for i, k := range ref.keys {
+		vals.Vectors[i] = s.syn.Vector(k, nil)
+	}
+	arena = newLease(vals)
+	t.Cleanup(arena.release)
+	return ref, arena
+}
+
+// TestEncodeJSONZeroAllocs: into a body buffer that has reached its
+// steady-state size, encoding a reply allocates nothing, and the two kinds
+// of lease render the same bytes.
+func TestEncodeJSONZeroAllocs(t *testing.T) {
+	ref, arena := codecLeases(t)
+	buf := ref.encodeJSON(nil)
+	embeddings := func(b []byte) []byte { return b[:bytes.Index(b, []byte(`,"stats":`))] }
+	if a, b := embeddings(buf), embeddings(arena.encodeJSON(nil)); !bytes.Equal(a, b) {
+		t.Fatalf("ref-backed and arena-backed leases encode differently:\n%s\n%s", a, b)
+	}
+	var lr LookupResponse
+	if err := json.Unmarshal(buf, &lr); err != nil || len(lr.Embeddings) != codecKeys {
+		t.Fatalf("encoded reply: %d embeddings, err %v", len(lr.Embeddings), err)
+	}
+	for name, l := range map[string]*respLease{"ref": ref, "arena": arena} {
+		if n := testing.AllocsPerRun(100, func() { buf = l.encodeJSON(buf[:0]) }); n != 0 {
+			t.Errorf("%s-backed encodeJSON allocates %.1f/op, want 0", name, n)
+		}
+	}
+}
+
+func BenchmarkEncodeJSON(b *testing.B) {
+	ref, arena := codecLeases(b)
+	for _, bc := range []struct {
+		name string
+		l    *respLease
+	}{{"ref", ref}, {"arena", arena}} {
+		b.Run(bc.name, func(b *testing.B) {
+			buf := bc.l.encodeJSON(nil)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = bc.l.encodeJSON(buf[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(codecKeys*codecDim), "ns/float")
+		})
+	}
+}
+
+// TestPoolsDropJumboBuffers: a reply past the pool caps must not leave its
+// body buffer or its lease behind for later (small) replies to inherit. One
+// P, so everything a Put kept is what the next Gets return.
+func TestPoolsDropJumboBuffers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := newTestStack(t, 0.2, nil)
+	h := New(s.eng, s.dev, WithoutCoalescing())
+	serve := func(keys int) {
+		res := serving.Result{Keys: make([]uint32, keys), Vectors: make([][]float32, keys)}
+		vec := make([]float32, 64)
+		for i := range vec {
+			vec[i] = -0.12345678 // twelve bytes of JSON each
+		}
+		for i := range res.Keys {
+			res.Keys[i], res.Vectors[i] = uint32(i), vec
+		}
+		rec := httptest.NewRecorder()
+		h.writeLease(rec, false, http.StatusOK, newLease(res))
+		if rec.Code != http.StatusOK || rec.Body.Len() < keys*64 {
+			t.Fatalf("%d-key reply: status %d, %d bytes", keys, rec.Code, rec.Body.Len())
+		}
+	}
+	serve(maxPooledKeys + 1) // > 1 MiB of JSON, > 1 MiB of arena
+	for i := 0; i < 4; i++ {
+		serve(8)
+	}
+	for i := 0; i < 16; i++ {
+		bp := respBufPool.Get().(*[]byte)
+		if cap(*bp) > maxPooledBytes {
+			t.Errorf("respBufPool kept a %d-byte buffer (cap %d)", cap(*bp), maxPooledBytes)
+		}
+		l := leasePool.Get().(*respLease)
+		if cap(l.keys) > maxPooledKeys || 4*cap(l.arena) > maxPooledBytes {
+			t.Errorf("leasePool kept a lease of %d keys, %d arena floats", cap(l.keys), cap(l.arena))
+		}
+	}
 }

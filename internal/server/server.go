@@ -337,6 +337,13 @@ func wantsBinary(r *http.Request) bool {
 	return r != nil && strings.Contains(r.Header.Get("Accept"), "application/octet-stream")
 }
 
+// Content-Type header values of a lookup reply, shared by every response:
+// net/http and httptest only read a handler's header slices.
+var (
+	contentTypeJSON   = []string{"application/json"}
+	contentTypeBinary = []string{"application/octet-stream"}
+)
+
 // writeLease encodes a leased lookup result into a pooled body buffer,
 // releases the lease (unpinning the backend's completion buffers), and
 // writes the response. Ref-backed payloads flow completion buffer → body
@@ -346,17 +353,17 @@ func (h *Handler) writeLease(w http.ResponseWriter, binary bool, status int, l *
 	buf := (*bp)[:0]
 	if binary {
 		buf = l.encodeBinary(buf)
-		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header()["Content-Type"] = contentTypeBinary
 	} else {
 		buf = l.encodeJSON(buf)
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = contentTypeJSON
 	}
 	l.release()
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.WriteHeader(status)
 	w.Write(buf)
 	*bp = buf
-	respBufPool.Put(bp)
+	putRespBuf(bp)
 }
 
 func (h *Handler) lookup(w http.ResponseWriter, r *http.Request) {
@@ -371,38 +378,47 @@ func (h *Handler) lookup(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var req LookupRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	job := lookupJobPool.Get().(*lookupJob)
+	defer putLookupJob(job)
+	var err error
+	if job.body, err = readBody(job.body, r); err == errBodyTooLarge {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			"request body too large: limit %d bytes", maxLookupBody)
+		return
+	}
+	if err == nil {
+		err = job.decodeKeys()
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	if len(req.Keys) == 0 {
+	if len(job.keys) == 0 {
 		httpError(w, http.StatusBadRequest, "keys must be non-empty")
 		return
 	}
-	if len(req.Keys) > maxLookupKeys {
-		httpError(w, http.StatusBadRequest, "too many keys: %d > %d", len(req.Keys), maxLookupKeys)
+	if len(job.keys) > maxLookupKeys {
+		httpError(w, http.StatusBadRequest, "too many keys: %d > %d", len(job.keys), maxLookupKeys)
 		return
 	}
 	if h.coal != nil {
-		if h.lookupCoalesced(w, r, req.Keys) {
+		if h.lookupCoalesced(w, r, job) {
 			return
 		}
 		// Coalescer shut down mid-request: fall through to isolated serving.
 	}
-	h.lookupIsolated(w, r, req.Keys)
+	h.lookupIsolated(w, r, job.keys)
 }
 
 // lookupCoalesced routes the request through the coalescer. It reports
 // false only when the coalescer has shut down and the request should be
 // served in isolation instead; a full queue is handled here (503).
-func (h *Handler) lookupCoalesced(w http.ResponseWriter, r *http.Request, keys []uint32) bool {
+func (h *Handler) lookupCoalesced(w http.ResponseWriter, r *http.Request, job *lookupJob) bool {
 	if h.coal.closing.Load() {
 		return false
 	}
 	h.coal.inflight.Add(1)
 	defer h.coal.inflight.Add(-1)
-	job := lookupJob{keys: keys, done: make(chan lookupOutcome, 1)}
 	if !h.coal.submit(job) {
 		if h.coal.closing.Load() {
 			return false
@@ -934,21 +950,21 @@ func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE maxembed_store_fallbacks_total counter\nmaxembed_store_fallbacks_total %d\n", rec.StoreFallbacks)
 	nh := h.nodeHealth()
 	fmt.Fprintf(w, "# TYPE maxembed_read_error_rate gauge\nmaxembed_read_error_rate %g\n", nh.rate)
-	fmt.Fprintf(w, "# TYPE maxembed_ready gauge\nmaxembed_ready %d\n", b2i(nh.ready))
+	fmt.Fprintf(w, "# TYPE maxembed_ready gauge\nmaxembed_ready %d\n", bit(nh.ready))
 	if nh.shards != nil {
 		fmt.Fprintf(w, "# TYPE maxembed_dead_shards gauge\nmaxembed_dead_shards %d\n", nh.deadShards)
 		fmt.Fprintf(w, "# TYPE maxembed_live_error_rate gauge\nmaxembed_live_error_rate %g\n", nh.liveRate)
 	}
 	fmt.Fprintf(w, "# TYPE maxembed_scrub_sweeps_total counter\nmaxembed_scrub_sweeps_total %d\n", h.scrubs.Load())
 	fmt.Fprintf(w, "# TYPE maxembed_scrub_errors_total counter\nmaxembed_scrub_errors_total %d\n", h.scrubErrors.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_scrub_running gauge\nmaxembed_scrub_running %d\n", b2i(h.scrubRunning.Load()))
+	fmt.Fprintf(w, "# TYPE maxembed_scrub_running gauge\nmaxembed_scrub_running %d\n", bit(h.scrubRunning.Load()))
 	fmt.Fprintf(w, "# TYPE maxembed_scrub_pages_scanned gauge\nmaxembed_scrub_pages_scanned %d\n", h.scrubScanned.Load())
 	fmt.Fprintf(w, "# TYPE maxembed_scrub_latent_slots_total counter\nmaxembed_scrub_latent_slots_total %d\n", h.scrubLatent.Load())
 	fmt.Fprintf(w, "# TYPE maxembed_scrub_repaired_slots_total counter\nmaxembed_scrub_repaired_slots_total %d\n", h.scrubRepaired.Load())
 	fmt.Fprintf(w, "# TYPE maxembed_scrub_unrepairable_slots_total counter\nmaxembed_scrub_unrepairable_slots_total %d\n", h.scrubUnrepairable.Load())
 	fmt.Fprintf(w, "# TYPE maxembed_rebuild_total counter\nmaxembed_rebuild_total %d\n", h.rebuilds.Load())
 	fmt.Fprintf(w, "# TYPE maxembed_rebuild_errors_total counter\nmaxembed_rebuild_errors_total %d\n", h.rebuildErrors.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_rebuild_running gauge\nmaxembed_rebuild_running %d\n", b2i(h.rebuildRunning.Load()))
+	fmt.Fprintf(w, "# TYPE maxembed_rebuild_running gauge\nmaxembed_rebuild_running %d\n", bit(h.rebuildRunning.Load()))
 	fmt.Fprintf(w, "# TYPE maxembed_rebuild_pages_copied gauge\nmaxembed_rebuild_pages_copied %d\n", h.rebuildCopied.Load())
 	fmt.Fprintf(w, "# TYPE maxembed_rebuild_last_mttr_ns gauge\nmaxembed_rebuild_last_mttr_ns %d\n", h.lastMTTRNS.Load())
 	eng := h.handle.Engine()
@@ -1032,13 +1048,6 @@ func (h *Handler) health(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
