@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-shard race-rebuild race-tier race-coact race-file alloc-guard vet vet-tool lint staticcheck bench verify experiments
+.PHONY: build test race race-stress alloc-guard vet vet-tool lint staticcheck bench verify experiments
 
 build:
 	$(GO) build ./...
@@ -37,51 +37,55 @@ staticcheck:
 race:
 	$(GO) test -race ./...
 
-# The multi-device fault and hot-swap seams, explicitly and repeatedly under
-# the race detector: shard fault isolation, the striped-array serving path,
-# and the array hot-swap-under-load hammer. `race` covers these once as part
-# of the full suite; this target reruns them with -count to shake out
-# interleavings.
-race-shard:
-	$(GO) test -race -count=3 -run 'TestShardFaultIsolation|TestShardQueuePeaksAcrossRun|TestBackendOneShardMatchesDevice' ./internal/serving
-	$(GO) test -race -count=3 -run 'TestMultiDeviceHotSwapUnderLoad|TestMultiDeviceOpenAndLookup' .
+# The concurrent seams, explicitly and repeatedly under the race detector.
+# `race` covers these once as part of the full suite; race-stress reruns
+# each row of the table (a -run pattern, then the packages it applies to)
+# with -count=3 to shake out interleavings. `#` lines describe the rows
+# under them.
+define RACE_SEAMS
+# Multi-device: shard fault isolation, the striped-array serving path and
+# the array hot-swap-under-load hammer.
+TestShardFaultIsolation|TestShardQueuePeaksAcrossRun|TestBackendOneShardMatchesDevice ./internal/serving
+TestMultiDeviceHotSwapUnderLoad|TestMultiDeviceOpenAndLookup .
+# Repair: scrub + rebuild + admin endpoints, the DB-level
+# fail/rebuild/auto-rebuild paths and the chaos soak (coalesced HTTP load
+# against concurrent shard failure, live rebuild, layout refreshes and a
+# scrub sweep).
+Scrub|Rebuild ./internal/serving ./internal/server
+TestScrubFailRebuildDB|TestAutoRebuild|TestChaosSoak .
+# The tiered hierarchy: heterogeneous arrays and tier accounting,
+# shadow-cache simulation, the tier-placement pass and the DB-level
+# re-tier-at-refresh path under concurrent lookups.
+Tier|Shadow|Retier|Discount ./internal/ssd ./internal/cache ./internal/placement ./internal/server
+TestTiered|TestRefreshRetier .
+# Co-activation placement: shard-spread scoring, the despread pass and its
+# composition with Retier, per-query max-shard-depth accounting (single and
+# batched) and the DB-level refresh-during-rebuild hot-swap path.
+Despread|Spread|TopForSet|MaxShardDepth|LookupBatch ./internal/placement ./internal/hypergraph ./internal/serving
+TestCoActivationPlacementOption|TestRefreshDuringFastShardRebuild .
+# Real I/O: the async backend's ring lending (ring-full, one ring over four
+# fds, ring lifetime and retire, concurrent queue pairs, read errors — all
+# TestFileBackend…), pread-pool and freelist paths, held-view lifetimes
+# across recycled buffers, the server's lease/encode handoff and the public
+# WithFileBackend surface.
+TestFile|TestPageBuf|TestPread|TestUring|TestLookupBinary|TestLookupJSONOverFileBackend|TestMetricsBackendLatencyHistogram ./internal/ssd ./internal/serving ./internal/server
+TestFileBackend .
+# The one read path on both backends: the simulator-vs-file differential
+# and the reroute-dedupe regression.
+TestSimAndFileResultsIdentical|TestRerouteNeverPlansAPageTwice ./internal/serving
+endef
+export RACE_SEAMS
 
-# The repair seams under the race detector: scrub + rebuild + admin
-# endpoints, the DB-level fail/rebuild/auto-rebuild paths, and the chaos
-# soak (coalesced HTTP load against concurrent shard failure, live
-# rebuild, layout refreshes, and a scrub sweep).
-race-rebuild:
-	$(GO) test -race -count=3 -run 'Scrub|Rebuild' ./internal/serving ./internal/server
-	$(GO) test -race -count=3 -run 'TestScrubFailRebuildDB|TestAutoRebuild|TestChaosSoak' .
-
-# The tiered-hierarchy seams under the race detector: heterogeneous
-# array construction and tier accounting, shadow-cache simulation, the
-# tier-placement pass, and the DB-level re-tier-at-refresh path under
-# concurrent lookups.
-race-tier:
-	$(GO) test -race -count=3 -run 'Tier|Shadow|Retier|Discount' ./internal/ssd ./internal/cache ./internal/placement ./internal/server
-	$(GO) test -race -count=3 -run 'TestTiered|TestRefreshRetier' .
-
-# The co-activation-placement seams under the race detector: shard-spread
-# scoring, the despread pass and its composition with Retier, per-query
-# max-shard-depth accounting (single and batched), and the DB-level
-# refresh-during-rebuild hot-swap path.
-race-coact:
-	$(GO) test -race -count=3 -run 'Despread|Spread|TopForSet|MaxShardDepth|LookupBatch' ./internal/placement ./internal/hypergraph ./internal/serving
-	$(GO) test -race -count=3 -run 'TestCoActivationPlacementOption|TestRefreshDuringFastShardRebuild' .
-
-# The real-I/O seams under the race detector: the async backend's ring
-# lending (ring-full, one ring over four fds, ring lifetime and retire,
-# concurrent queue pairs, read errors — all TestFileBackend…), pread-pool
-# and freelist paths, zero-copy ref lifetimes across retained buffers, the
-# server's lease/encode handoff, and the public WithFileBackend surface.
-race-file:
-	$(GO) test -race -count=3 -run 'TestFile|TestPageBuf|TestPread|TestUring|TestLookupBinary|TestLookupJSONOverFileBackend|TestMetricsBackendLatencyHistogram' ./internal/ssd ./internal/serving ./internal/server
-	$(GO) test -race -count=3 -run 'TestFileBackend' .
+race-stress:
+	@echo "$$RACE_SEAMS" | grep -v '^#' | while read -r pattern pkgs; do \
+		echo "$(GO) test -race -count=3 -run '$$pattern' $$pkgs"; \
+		$(GO) test -race -count=3 -run "$$pattern" $$pkgs || exit 1; \
+	done
 
 # The read path's hard allocation gate: once warm, a lookup (single and
-# batched) over the real-I/O backend must allocate nothing at all, without
-# a DRAM cache and with one that evicts on every call; so must the cache's
+# batched) must allocate nothing at all, over the real-I/O backend and over
+# the simulator with a store (they run the same code), without a DRAM
+# cache and with one that evicts on every call; so must the cache's
 # own Get/Put mix and the slab behind it, and the /v1/lookup JSON codec
 # (request decode and reply encode at 0, the whole handler at a small
 # constant independent of key count). CI runs this as the bench-smoke gate,
@@ -99,7 +103,7 @@ bench:
 # The full pre-merge gate: static checks (including the repo's own
 # analyzer suite), build, and the test suite under the race detector
 # (the serving engine and HTTP layer are concurrent).
-verify: vet lint staticcheck build race race-shard race-rebuild race-tier race-coact race-file alloc-guard
+verify: vet lint staticcheck build race race-stress alloc-guard
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -69,7 +69,7 @@ func TestScrubFailRebuildDB(t *testing.T) {
 		for j, k := range res.Keys {
 			want = db.syn.Vector(k, want[:0])
 			for x := range want {
-				if res.Vectors[j][x] != want[x] {
+				if res.Refs[j].Float32(x) != want[x] {
 					t.Fatalf("query %d: wrong vector for key %d with dead shard", i, k)
 				}
 			}

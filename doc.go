@@ -26,5 +26,7 @@
 //	if err != nil { ... }
 //	sess := db.NewSession()
 //	res, err := sess.Lookup([]maxembed.Key{1, 42, 7})
-//	// res.Vectors holds the embeddings; res.Stats the virtual timing.
+//	// res.Refs[i] is a view of res.Keys[i]'s payload bytes, valid until the
+//	// session's next lookup; res.AppendVector(i, dst) decodes it to
+//	// float32s. res.Stats holds the virtual timing.
 package maxembed

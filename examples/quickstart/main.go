@@ -45,8 +45,10 @@ func main() {
 		}
 		pages += res.Stats.PagesRead
 		keys += res.Stats.DistinctKeys
-		// res.Keys / res.Vectors hold the embeddings, e.g.:
-		_ = res.Vectors
+		// res.Keys / res.Refs hold the embeddings: Refs[i] is a view of
+		// Keys[i]'s payload bytes, valid until the session's next lookup;
+		// res.AppendVector(i, dst) decodes it, e.g.:
+		_ = res.Refs
 	}
 	fmt.Printf("served 1000 queries (%d embeddings) with %d SSD page reads\n", keys, pages)
 	fmt.Printf("virtual time: %.2f ms, device read %d pages total\n",
@@ -59,7 +61,7 @@ func main() {
 	}
 	fmt.Printf("query %v -> %d vectors of dim %d, latency %.1f µs (%d page reads, %d cache hits)\n",
 		live.Queries[1000][:min(5, len(live.Queries[1000]))],
-		len(res.Vectors), len(res.Vectors[0]),
+		len(res.Refs), len(res.AppendVector(0, nil)),
 		float64(res.Stats.LatencyNS())/1e3, res.Stats.PagesRead, res.Stats.CacheHits)
 }
 

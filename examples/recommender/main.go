@@ -71,7 +71,7 @@ func main() {
 		// Pooling: mean of context vectors.
 		byKey := make(map[maxembed.Key][]float32, len(res.Keys))
 		for i, k := range res.Keys {
-			byKey[k] = res.Vectors[i]
+			byKey[k] = res.AppendVector(i, nil)
 		}
 		pooled := make([]float64, dim)
 		n := 0

@@ -49,7 +49,7 @@ func TestFileBackendOpenAndLookup(t *testing.T) {
 				t.Fatalf("devices=%d query %d: %d refs for %d keys", devices, i, len(res.Refs), len(res.Keys))
 			}
 			for j, k := range res.Keys {
-				if !res.Refs[j].Valid() {
+				if !res.Refs[j].Pinned() {
 					t.Fatalf("devices=%d query %d key %d: no zero-copy view", devices, i, k)
 				}
 				want = syn.Vector(k, want[:0])

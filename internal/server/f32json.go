@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/binary"
-	"math"
 	"math/bits"
 	"slices"
 )
@@ -260,46 +259,24 @@ func putFloat32(dst []byte, b uint32) int {
 	return n + 4
 }
 
-// openVec reserves room for a JSON array of count floats after buf and
-// writes the opening bracket: w is buf extended to its capacity and n the
-// write position. Each element then takes putFloat32 and a comma.
-func openVec(buf []byte, count int) (w []byte, n int) {
-	buf = slices.Grow(buf, 2+count*(maxFloat32Len+1))
-	w, n = buf[:cap(buf)], len(buf)
-	w[n] = '['
-	return w, n + 1
-}
-
-// closeVec turns the last element's comma, if there was an element, into
-// the closing bracket and returns the body up to it.
-func closeVec(w []byte, n int) []byte {
-	if w[n-1] == ',' {
-		n--
-	}
-	w[n] = ']'
-	return w[:n+1]
-}
-
 // appendFloat32sLE appends the JSON array of the little-endian float32s in
-// payload, the layout of a SlotRef view: the body capacity is reserved once
-// and every element is written in place from the completion buffer's bytes.
+// payload, the layout of a SlotRef view. Room for the whole array is
+// reserved once: w is buf extended to its capacity and n the write
+// position; each element takes putFloat32 and a comma, and the last comma,
+// if there was an element, becomes the closing bracket.
 func appendFloat32sLE(buf, payload []byte) []byte {
-	w, n := openVec(buf, len(payload)/4)
+	buf = slices.Grow(buf, 2+len(payload)/4*(maxFloat32Len+1))
+	w, n := buf[:cap(buf)], len(buf)
+	w[n] = '['
+	n++
 	for ; len(payload) >= 4; payload = payload[4:] {
 		n += putFloat32(w[n:], binary.LittleEndian.Uint32(payload))
 		w[n] = ','
 		n++
 	}
-	return closeVec(w, n)
-}
-
-// appendFloat32s is appendFloat32sLE for a value-backed vector.
-func appendFloat32s(buf []byte, v []float32) []byte {
-	w, n := openVec(buf, len(v))
-	for _, f := range v {
-		n += putFloat32(w[n:], math.Float32bits(f))
-		w[n] = ','
-		n++
+	if w[n-1] == ',' {
+		n--
 	}
-	return closeVec(w, n)
+	w[n] = ']'
+	return w[:n+1]
 }

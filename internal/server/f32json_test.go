@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/big"
 	"strconv"
 	"testing"
+
+	"maxembed/internal/embedding"
 )
 
 // strconvFloat32 is the oracle: the rendering the encoder used before the
@@ -153,11 +156,8 @@ func TestPow10TableMatchesBig(t *testing.T) {
 }
 
 func TestAppendFloat32sShapes(t *testing.T) {
-	if got := string(appendFloat32s([]byte("x"), nil)); got != "x[]" {
+	if got := string(appendFloat32sLE([]byte("x"), nil)); got != "x[]" {
 		t.Errorf("empty vector: %q", got)
-	}
-	if got := string(appendFloat32s(nil, []float32{1.5, -2.25, 0})); got != "[1.5,-2.25,0]" {
-		t.Errorf("value vector: %q", got)
 	}
 	payload := []byte{0, 0, 0xC0, 0x3F, 0, 0, 0x10, 0xC0, 0xAA} // 1.5, −2.25, one stray byte
 	if got := string(appendFloat32sLE([]byte(","), payload)); got != ",[1.5,-2.25]" {
@@ -177,24 +177,25 @@ func BenchmarkAppendFloat32s(b *testing.B) {
 		x = x*6364136223846793005 + 1442695040888963407
 		vals[i] = float32(int32(x>>40)-(1<<23)) / (1 << 23)
 	}
-	run := func(b *testing.B, enc func(buf []byte, v []float32) []byte) {
-		buf := enc(nil, vals)
+	payload := embedding.EncodeVector(vals, nil)
+	run := func(b *testing.B, enc func(buf, payload []byte) []byte) {
+		buf := enc(nil, payload)
 		b.SetBytes(int64(len(buf)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buf = enc(buf[:0], vals)
+			buf = enc(buf[:0], payload)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(vals)), "ns/float")
 	}
-	b.Run("kernel", func(b *testing.B) { run(b, appendFloat32s) })
+	b.Run("kernel", func(b *testing.B) { run(b, appendFloat32sLE) })
 	b.Run("strconv", func(b *testing.B) {
-		run(b, func(buf []byte, v []float32) []byte {
+		run(b, func(buf, payload []byte) []byte {
 			buf = append(buf, '[')
-			for i, f := range v {
+			for i := 0; i < len(payload); i += 4 {
 				if i > 0 {
 					buf = append(buf, ',')
 				}
-				buf = strconvFloat32(buf, math.Float32bits(f))
+				buf = strconvFloat32(buf, binary.LittleEndian.Uint32(payload[i:]))
 			}
 			return append(buf, ']')
 		})

@@ -1,32 +1,29 @@
 package server
 
 import (
-	"math"
 	"strconv"
 	"sync"
 
 	"maxembed/internal/serving"
 )
 
-// Zero-copy response path. A lookup's Result references worker scratch
-// that the worker's next lookup overwrites, so the handler snapshots each
-// result into a pooled respLease before the worker moves on: uint32 keys
-// are copied (cheap), zero-copy SlotRef views are copied by value and
-// Retained (pinning their completion buffers — the payload bytes
-// themselves are never copied), and value-backed vectors (cache hits,
-// simulated reads, store fallbacks) are copied into a pooled arena. The
-// response encoders then read ref payloads directly out of the device's
-// completion buffers into the HTTP body; releasing the lease unpins the
-// buffers so the backend can recycle them. See DESIGN.md §17.
+// Response path. A lookup's Result references worker scratch that the
+// worker's next lookup overwrites, so the handler snapshots each result
+// into a pooled respLease before the worker moves on: uint32 keys are
+// copied (cheap) and every payload view is held (serving.SlotRef.Hold) —
+// a view into a completion buffer pins the buffer, the payload bytes
+// themselves never copied; a view into worker memory (cache hits, pages
+// read from the host store) is copied into the lease's arena. The response
+// encoders then read payload bytes straight into the HTTP body; releasing
+// the lease unpins the buffers so the backend can recycle them. See
+// DESIGN.md §17.
 
 // respLease owns one response's data after the serving worker has moved
-// on. Entries are parallel to keys: a valid refs[i] carries the payload
-// view, otherwise vecs[i] holds the (arena-backed) value.
+// on. refs is parallel to keys.
 type respLease struct {
 	keys     []uint32
 	refs     []serving.SlotRef
-	vecs     [][]float32
-	arena    []float32
+	arena    []byte // the copied views' bytes
 	failed   []uint32
 	stats    LookupStats
 	degraded bool
@@ -61,36 +58,22 @@ func newLease(res serving.Result) *respLease {
 	l.failed = append(l.failed[:0], res.FailedKeys...)
 	l.degraded = res.Stats.Degraded
 	l.stats = toLookupStats(res.Stats)
-	l.refs = l.refs[:0]
-	if res.Refs != nil {
-		l.refs = append(l.refs, res.Refs...)
-		for i := range l.refs {
-			l.refs[i].Retain()
-		}
-	}
-	// Copy value-backed vectors into one arena carve. The arena is sized
-	// up front so append never reallocates under the carved subslices.
+	// The arena is sized up front so Hold's appends never reallocate it
+	// under the views already carved from it.
 	total := 0
-	for i, v := range res.Vectors {
-		if i < len(l.refs) && l.refs[i].Valid() {
-			continue
+	for _, r := range res.Refs {
+		if !r.Pinned() {
+			total += len(r.Payload)
 		}
-		total += len(v)
 	}
 	if cap(l.arena) < total {
-		l.arena = make([]float32, 0, total)
+		l.arena = make([]byte, 0, total)
 	}
 	l.arena = l.arena[:0]
-	l.vecs = l.vecs[:0]
-	off := 0
-	for i, v := range res.Vectors {
-		if i < len(l.refs) && l.refs[i].Valid() {
-			l.vecs = append(l.vecs, nil)
-			continue
-		}
-		l.arena = append(l.arena, v...)
-		l.vecs = append(l.vecs, l.arena[off:off+len(v):off+len(v)])
-		off += len(v)
+	l.refs = l.refs[:0]
+	for _, r := range res.Refs {
+		r, l.arena = r.Hold(l.arena)
+		l.refs = append(l.refs, r)
 	}
 	return l
 }
@@ -104,32 +87,18 @@ func (l *respLease) release() {
 		l.refs[i] = serving.SlotRef{}
 	}
 	l.refs = l.refs[:0]
-	if cap(l.keys) <= maxPooledKeys && 4*cap(l.arena) <= maxPooledBytes {
+	if cap(l.keys) <= maxPooledKeys && cap(l.arena) <= maxPooledBytes {
 		leasePool.Put(l)
 	}
-}
-
-// refAt returns the ref view for entry i, or the zero ref when the entry
-// is value-backed (engines without a real-I/O backend return no refs).
-func (l *respLease) refAt(i int) serving.SlotRef {
-	if i < len(l.refs) {
-		return l.refs[i]
-	}
-	return serving.SlotRef{}
 }
 
 // dim returns the embedding dimension of the response's vectors (0 when
 // the lease has no entries or the engine is timing-only).
 func (l *respLease) dim() int {
-	for i := range l.keys {
-		if r := l.refAt(i); r.Valid() {
-			return r.Dim()
-		}
-		if len(l.vecs[i]) > 0 {
-			return len(l.vecs[i])
-		}
+	if len(l.refs) == 0 {
+		return 0
 	}
-	return 0
+	return l.refs[0].Dim()
 }
 
 func toLookupStats(st serving.QueryStats) LookupStats {
@@ -149,9 +118,9 @@ func toLookupStats(st serving.QueryStats) LookupStats {
 }
 
 // encodeJSON appends the LookupResponse JSON encoding of the lease to
-// buf. Hand-rolled: ref-backed vectors are rendered straight from the
-// completion buffers' bytes into the body (f32json.go) with no
-// intermediate map, slice-of-slices, or reflection pass.
+// buf. Hand-rolled: vectors are rendered straight from their payload bytes
+// — a completion buffer's, for a pinned view — into the body (f32json.go)
+// with no intermediate map, slice-of-slices, or reflection pass.
 func (l *respLease) encodeJSON(buf []byte) []byte {
 	buf = append(buf, `{"embeddings":{`...)
 	for i, k := range l.keys {
@@ -161,11 +130,7 @@ func (l *respLease) encodeJSON(buf []byte) []byte {
 		buf = append(buf, '"')
 		buf = strconv.AppendUint(buf, uint64(k), 10)
 		buf = append(buf, `":`...)
-		if ref := l.refAt(i); ref.Valid() {
-			buf = appendFloat32sLE(buf, ref.Payload())
-		} else {
-			buf = appendFloat32s(buf, l.vecs[i])
-		}
+		buf = appendFloat32sLE(buf, l.refs[i].Payload)
 	}
 	buf = append(buf, '}')
 	if l.degraded {
@@ -230,8 +195,8 @@ func (s LookupStats) appendJSON(buf []byte) []byte {
 //	count × { key uint32, payload [4*dim]byte (raw little-endian float32s) }
 //	nfail × { key uint32 }
 //
-// Ref-backed payloads are appended directly from the completion-buffer
-// views: the bytes the NVMe read produced are the bytes on the wire.
+// Payloads are appended as they are: for a pinned view, the bytes the NVMe
+// read produced are the bytes on the wire.
 const binaryMagic = "MXE1"
 
 func appendU32(buf []byte, v uint32) []byte {
@@ -240,24 +205,13 @@ func appendU32(buf []byte, v uint32) []byte {
 
 // encodeBinary appends the binary encoding of the lease to buf.
 func (l *respLease) encodeBinary(buf []byte) []byte {
-	dim := l.dim()
 	buf = append(buf, binaryMagic...)
-	buf = appendU32(buf, uint32(dim))
+	buf = appendU32(buf, uint32(l.dim()))
 	buf = appendU32(buf, uint32(len(l.keys)))
 	buf = appendU32(buf, uint32(len(l.failed)))
 	for i, k := range l.keys {
 		buf = appendU32(buf, k)
-		if ref := l.refAt(i); ref.Valid() {
-			buf = append(buf, ref.Payload()...)
-			continue
-		}
-		for _, f := range l.vecs[i] {
-			buf = appendU32(buf, math.Float32bits(f))
-		}
-		for j := len(l.vecs[i]); j < dim; j++ {
-			// Timing-only engines serve empty vectors; pad to the frame.
-			buf = appendU32(buf, 0)
-		}
+		buf = append(buf, l.refs[i].Payload...)
 	}
 	for _, k := range l.failed {
 		buf = appendU32(buf, k)

@@ -268,6 +268,16 @@ func TestLookupBinaryMatchesJSON(t *testing.T) {
 	}
 }
 
+// viewsOf returns one unpinned payload view per vector, as cache hits and
+// pages read from the host store come back.
+func viewsOf(vecs ...[]float32) []serving.SlotRef {
+	refs := make([]serving.SlotRef, len(vecs))
+	for i, v := range vecs {
+		refs[i].Payload = embedding.EncodeVector(v, nil)
+	}
+	return refs
+}
+
 // TestHandRolledJSONMatchesEncodingJSON pins the hand-rolled encoder to the
 // reflection-based rendering of the same response structs, so the wire
 // shape can never drift from the documented LookupResponse.
@@ -275,12 +285,12 @@ func TestHandRolledJSONMatchesEncodingJSON(t *testing.T) {
 	for _, l := range []*respLease{
 		{
 			keys:  []uint32{7, 42},
-			vecs:  [][]float32{{1.5, -2.25}, {0, 3e-7}},
+			refs:  viewsOf([]float32{1.5, -2.25}, []float32{0, 3e-7}),
 			stats: LookupStats{DistinctKeys: 2, PagesRead: 1, PageShare: 0.5, BatchSize: 1, LatencyNS: 1234, Generation: 1},
 		},
 		{
 			keys:     []uint32{9},
-			vecs:     [][]float32{{float32(math.Inf(1))}},
+			refs:     viewsOf([]float32{float32(math.Inf(1))}),
 			failed:   []uint32{11, 12},
 			degraded: true,
 			stats: LookupStats{DistinctKeys: 3, CacheHits: 1, PagesRead: 2, BatchSize: 4,
@@ -294,8 +304,8 @@ func TestHandRolledJSONMatchesEncodingJSON(t *testing.T) {
 			Stats:      l.stats,
 		}
 		for i, k := range l.keys {
-			vec := make([]float32, len(l.vecs[i]))
-			for j, f := range l.vecs[i] {
+			vec := l.refs[i].AppendVector(nil)
+			for j, f := range vec {
 				if f64 := float64(f); math.IsNaN(f64) || math.IsInf(f64, 0) {
 					f = 0 // the hand encoder's non-finite clamp
 				}
@@ -457,8 +467,8 @@ const (
 	codecDim  = 64
 )
 
-// codecLeases returns a ref-backed lease (zero-copy views out of a file
-// backend's completion buffers) and an arena-backed one (value vectors, as
+// codecLeases returns a lease of pinned views (out of a file backend's
+// completion buffers) and one of views copied into the lease's arena (as
 // cache hits and simulated reads produce) over the same keys and values.
 func codecLeases(t testing.TB) (ref, arena *respLease) {
 	t.Helper()
@@ -474,16 +484,16 @@ func codecLeases(t testing.TB) (ref, arena *respLease) {
 	ref = newLease(res)
 	t.Cleanup(ref.release)
 	for i := range ref.keys {
-		if !ref.refAt(i).Valid() {
-			t.Fatalf("entry %d of the file-backend lease is not ref-backed", i)
+		if !ref.refs[i].Pinned() {
+			t.Fatalf("entry %d of the file-backend lease is not pinned", i)
 		}
 	}
 	// Same entries in the same (engine-chosen) order.
-	vals := serving.Result{Keys: ref.keys, Vectors: make([][]float32, len(ref.keys))}
+	vecs := make([][]float32, len(ref.keys))
 	for i, k := range ref.keys {
-		vals.Vectors[i] = s.syn.Vector(k, nil)
+		vecs[i] = s.syn.Vector(k, nil)
 	}
-	arena = newLease(vals)
+	arena = newLease(serving.Result{Keys: ref.keys, Refs: viewsOf(vecs...)})
 	t.Cleanup(arena.release)
 	return ref, arena
 }
@@ -509,23 +519,19 @@ func TestEncodeJSONZeroAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkEncodeJSON encodes one reply. Pinned and copied views go
+// through the same code (payload bytes in, JSON out), so one lease is
+// measured.
 func BenchmarkEncodeJSON(b *testing.B) {
-	ref, arena := codecLeases(b)
-	for _, bc := range []struct {
-		name string
-		l    *respLease
-	}{{"ref", ref}, {"arena", arena}} {
-		b.Run(bc.name, func(b *testing.B) {
-			buf := bc.l.encodeJSON(nil)
-			b.SetBytes(int64(len(buf)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = bc.l.encodeJSON(buf[:0])
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(codecKeys*codecDim), "ns/float")
-		})
+	l, _ := codecLeases(b)
+	buf := l.encodeJSON(nil)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = l.encodeJSON(buf[:0])
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(codecKeys*codecDim), "ns/float")
 }
 
 // TestPoolsDropJumboBuffers: a reply past the pool caps must not leave its
@@ -536,13 +542,13 @@ func TestPoolsDropJumboBuffers(t *testing.T) {
 	s := newTestStack(t, 0.2, nil)
 	h := New(s.eng, s.dev, WithoutCoalescing())
 	serve := func(keys int) {
-		res := serving.Result{Keys: make([]uint32, keys), Vectors: make([][]float32, keys)}
+		res := serving.Result{Keys: make([]uint32, keys), Refs: make([]serving.SlotRef, keys)}
 		vec := make([]float32, 64)
 		for i := range vec {
 			vec[i] = -0.12345678 // twelve bytes of JSON each
 		}
 		for i := range res.Keys {
-			res.Keys[i], res.Vectors[i] = uint32(i), vec
+			res.Keys[i], res.Refs[i] = uint32(i), viewsOf(vec)[0]
 		}
 		rec := httptest.NewRecorder()
 		h.writeLease(rec, false, http.StatusOK, newLease(res))
@@ -560,8 +566,8 @@ func TestPoolsDropJumboBuffers(t *testing.T) {
 			t.Errorf("respBufPool kept a %d-byte buffer (cap %d)", cap(*bp), maxPooledBytes)
 		}
 		l := leasePool.Get().(*respLease)
-		if cap(l.keys) > maxPooledKeys || 4*cap(l.arena) > maxPooledBytes {
-			t.Errorf("leasePool kept a lease of %d keys, %d arena floats", cap(l.keys), cap(l.arena))
+		if cap(l.keys) > maxPooledKeys || cap(l.arena) > maxPooledBytes {
+			t.Errorf("leasePool kept a lease of %d keys, %d arena bytes", cap(l.keys), cap(l.arena))
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package serving
 
+import "slices"
+
 // BatchStats describes the combined pass of one coalesced batch lookup.
 type BatchStats struct {
 	// Queries is the number of queries coalesced into the batch.
@@ -24,7 +26,8 @@ func (s BatchStats) LatencyNS() int64 { return s.Combined.LatencyNS() }
 // BatchResult is the outcome of one coalesced batch lookup.
 type BatchResult struct {
 	// PerQuery[i] is query i's scattered result: exactly its distinct keys
-	// (vectors for the ones served, FailedKeys for the ones that were not),
+	// (payload views for the ones served, FailedKeys for the ones that were
+	// not),
 	// equal to what an isolated Lookup of the same query returns modulo
 	// cache state. Per-query stats attribute the shared work: PagesRead
 	// counts pages that served at least one of the query's keys, PageShare
@@ -32,8 +35,8 @@ type BatchResult struct {
 	// completion time. Recovery totals (Retries, ReadFaults, Corruptions,
 	// ReplicaRescues) are accounted batch-wide in Stats.Combined, not per
 	// query. PerQuery itself and every slice in it alias worker memory
-	// reused by the next lookup; on real-I/O backends each result's Refs
-	// views follow the same lifetime (Retain to hold longer).
+	// reused by the next lookup, each result's Refs views included (Hold
+	// them to keep them longer).
 	PerQuery []Result
 	// Stats aggregates the combined pass.
 	Stats BatchStats
@@ -51,29 +54,40 @@ const (
 // ownership is a CSR (ownOff/ownFlat) rather than a map of slices — and a
 // steady-state batch allocates nothing.
 type scatterScratch struct {
-	keyIdx    map[Key]int32 // batch-distinct key → dense id
-	ids       []int32       // dense id per entry of distinct
-	ownCnt    []int32       // CSR: owners per dense id (counting pass)
-	ownOff    []int32       // CSR: ownFlat[ownOff[id]:ownOff[id+1]]
-	ownFlat   []int32       // CSR: owning query indexes, ascending
-	cursor    []int32       // CSR fill cursors
-	vecIdx    []int32       // dense id → index into union.Keys, -1 unserved
-	flags     []uint8       // dense id → kf* bits
-	distinct  []Key         // per-query distinct keys, flattened
-	bounds    []int         // distinct[bounds[i]:bounds[i+1]] is query i's keys
-	touch     []int32       // queries touched by the page being attributed
-	flatKeys  []Key
-	flatVecs  [][]float32
-	flatRefs  []SlotRef
-	flatFail  []Key
-	pagesFor  []int
-	shareFor  []float64
-	hitsFor   []int
-	servedFor []int
-	failFor   []int
-	fbFor     []int
-	depthFor  []int // per-query max-shard depth over its touched pages
-	shardCnt  []int // depth scratch: query-major [qi*numShards+s] counts
+	keyIdx   map[Key]int32 // batch-distinct key → dense id
+	ids      []int32       // dense id per entry of distinct
+	ownCnt   []int32       // CSR: owners per dense id (counting pass)
+	ownOff   []int32       // CSR: ownFlat[ownOff[id]:ownOff[id+1]]
+	ownFlat  []int32       // CSR: owning query indexes, ascending
+	cursor   []int32       // CSR fill cursors
+	refIdx   []int32       // dense id → index into union.Keys, -1 unserved
+	flags    []uint8       // dense id → kf* bits
+	distinct []Key         // per-query distinct keys, flattened
+	bounds   []int         // distinct[bounds[i]:bounds[i+1]] is query i's keys
+	touch    []int32       // queries touched by the page being attributed
+	flatKeys []Key
+	flatRefs []SlotRef
+	flatFail []Key
+	pagesFor []int
+	shareFor []float64
+	hitsFor  []int
+	failFor  []int
+	fbFor    []int
+	depthFor []int // per-query max-shard depth over its touched pages
+	shardCnt []int // depth scratch: query-major [qi*numShards+s] counts
+}
+
+// resize returns s with length n, reusing its storage when that is large
+// enough; zero clears the reused elements (a fresh slice is zero anyway).
+func resize[T any](s []T, n int, zero bool) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	if zero {
+		clear(s)
+	}
+	return s
 }
 
 // LookupBatch serves several queries as one coalesced lookup: a single
@@ -96,22 +110,12 @@ func (w *Worker) LookupBatch(queries [][]Key) (BatchResult, error) {
 		if err != nil {
 			return br, err
 		}
-		if cap(w.perQuery) < 1 {
-			w.perQuery = make([]Result, 0, 8)
-		}
 		w.perQuery = append(w.perQuery[:0], res)
 		br.PerQuery = w.perQuery
 		br.Stats.Combined = res.Stats
 		return br, nil
 	}
 
-	total := 0
-	for _, q := range queries {
-		total += len(q)
-	}
-	if cap(w.batchBuf) < total {
-		w.batchBuf = make([]Key, 0, total)
-	}
 	w.batchBuf = w.batchBuf[:0]
 	for _, q := range queries {
 		w.batchBuf = append(w.batchBuf, q...)
@@ -120,23 +124,32 @@ func (w *Worker) LookupBatch(queries [][]Key) (BatchResult, error) {
 	if err != nil {
 		return br, err
 	}
-	e := w.eng
 	union.Stats.BatchSize = len(queries)
 	union.Stats.PageShare = float64(union.Stats.PagesRead)
 	br.Stats.Combined = union.Stats
 
-	// Ownership pass: intern each batch-distinct key to a dense id and
-	// record, per (query, distinct key) pair, which query owns it. w.seen
-	// is free again after lookupCombined; reuse it for per-query dedup.
+	br.Stats.SharedKeys = w.internOwners(queries)
+	w.markOutcomes(union)
+	br.Stats.SharedPageReads = w.attributePages(len(queries))
+	br.PerQuery = w.scatterResults(queries, union)
+	return br, nil
+}
+
+// internOwners interns each batch-distinct key to a dense id and builds the
+// ownership CSR — which queries asked for each id — recording every member
+// query's distinct keys with the history recorder on the way. w.seen is
+// free again after lookupCombined and is reused for per-query dedup.
+// Returns the number of keys more than one query asked for.
+func (w *Worker) internOwners(queries [][]Key) (sharedKeys int) {
 	sc := &w.scatter
 	if sc.keyIdx == nil {
-		sc.keyIdx = make(map[Key]int32, union.Stats.DistinctKeys)
+		sc.keyIdx = make(map[Key]int32, len(w.distinct))
 	}
 	clear(sc.keyIdx)
 	sc.distinct = sc.distinct[:0]
 	sc.ids = sc.ids[:0]
 	sc.bounds = append(sc.bounds[:0], 0)
-	nDist := int32(0)
+	nDist := 0
 	for qi, q := range queries {
 		clear(w.seen)
 		for _, k := range q {
@@ -147,56 +160,54 @@ func (w *Worker) LookupBatch(queries [][]Key) (BatchResult, error) {
 			sc.distinct = append(sc.distinct, k)
 			id, ok := sc.keyIdx[k]
 			if !ok {
-				id = nDist
+				id = int32(nDist)
 				nDist++
 				sc.keyIdx[k] = id
 			}
 			sc.ids = append(sc.ids, id)
 		}
 		sc.bounds = append(sc.bounds, len(sc.distinct))
-		if e.cfg.Recorder != nil {
-			e.cfg.Recorder.Record(sc.distinct[sc.bounds[qi]:sc.bounds[qi+1]])
+		if rec := w.eng.cfg.Recorder; rec != nil {
+			rec.Record(sc.distinct[sc.bounds[qi]:sc.bounds[qi+1]])
 		}
 	}
 
-	// Build the ownership CSR: count, prefix-sum, fill (query order, so
-	// each id's owner list is ascending and deterministic).
-	sc.ownCnt = resizeInt32s(sc.ownCnt, int(nDist))
+	// Count, prefix-sum, fill (query order, so each id's owner list is
+	// ascending and deterministic).
+	sc.ownCnt = resize(sc.ownCnt, nDist, true)
 	for _, id := range sc.ids {
 		sc.ownCnt[id]++
 	}
-	for _, c := range sc.ownCnt {
-		if c > 1 {
-			br.Stats.SharedKeys++
-		}
-	}
-	sc.ownOff = resizeInt32s(sc.ownOff, int(nDist)+1)
+	sc.ownOff = resize(sc.ownOff, nDist+1, true)
 	for id, c := range sc.ownCnt {
 		sc.ownOff[id+1] = sc.ownOff[id] + c
+		if c > 1 {
+			sharedKeys++
+		}
 	}
-	if cap(sc.ownFlat) < len(sc.ids) {
-		sc.ownFlat = make([]int32, len(sc.ids))
-	}
-	sc.ownFlat = sc.ownFlat[:len(sc.ids)]
-	sc.cursor = resizeInt32s(sc.cursor, int(nDist))
+	sc.ownFlat = resize(sc.ownFlat, len(sc.ids), false)
+	sc.cursor = resize(sc.cursor, nDist, true)
 	for qi := range queries {
 		for _, id := range sc.ids[sc.bounds[qi]:sc.bounds[qi+1]] {
 			sc.ownFlat[sc.ownOff[id]+sc.cursor[id]] = int32(qi)
 			sc.cursor[id]++
 		}
 	}
+	return sharedKeys
+}
 
-	// Per-key outcome: where each dense id's vector sits in the union
-	// result (-1 = unserved) and its failed/hit/fallback flags.
-	sc.vecIdx = resizeInt32s(sc.vecIdx, int(nDist))
-	for i := range sc.vecIdx {
-		sc.vecIdx[i] = -1
+// markOutcomes records each dense id's outcome in the combined pass: where
+// its view sits in the union result (-1 = unserved) and its
+// failed/hit/fallback flags.
+func (w *Worker) markOutcomes(union Result) {
+	sc := &w.scatter
+	sc.refIdx = resize(sc.refIdx, len(sc.ownCnt), false)
+	for i := range sc.refIdx {
+		sc.refIdx[i] = -1
 	}
-	sc.flags = resizeBytes(sc.flags, int(nDist))
+	sc.flags = resize(sc.flags, len(sc.ownCnt), true)
 	for i, k := range union.Keys {
-		if id, ok := sc.keyIdx[k]; ok {
-			sc.vecIdx[id] = int32(i)
-		}
+		sc.refIdx[sc.keyIdx[k]] = int32(i)
 	}
 	for _, k := range union.FailedKeys {
 		sc.flags[sc.keyIdx[k]] |= kfFailed
@@ -211,34 +222,35 @@ func (w *Worker) LookupBatch(queries [][]Key) (BatchResult, error) {
 			sc.flags[id] |= kfFallback
 		}
 	}
+}
 
-	// Page attribution: each planned read is charged to every query one of
-	// its covered keys belongs to, and apportioned 1/q across those q
-	// queries so shares sum back to the batch total — a shared page that
-	// *failed* is still a read each sharer caused, so it is apportioned the
-	// same way (its keys are attributed through sc.failed, not here).
-	// The same walk accumulates each query's per-shard read counts for its
-	// MaxShardDepth: the depth of a member query is over the pages that
-	// served (or failed) its keys, not the whole batch plan.
-	sc.pagesFor = resizeInts(sc.pagesFor, len(queries))
-	sc.shareFor = resizeFloats(sc.shareFor, len(queries))
-	sc.depthFor = resizeInts(sc.depthFor, len(queries))
-	sc.shardCnt = resizeInts(sc.shardCnt, len(queries)*e.numShards)
+// attributePages charges each planned read to every query one of its
+// covered keys belongs to, apportioned 1/q across those q queries so shares
+// sum back to the batch total — a shared page that *failed* is still a read
+// each sharer caused, so it is apportioned the same way (its keys are
+// attributed through the kfFailed flag, not here). The same walk
+// accumulates each query's per-shard read counts for its MaxShardDepth:
+// the depth of a member query is over the pages that served (or failed)
+// its keys, not the whole batch plan. Returns the number of reads whose
+// keys spanned more than one query.
+func (w *Worker) attributePages(nQueries int) (sharedReads int) {
+	e, sc := w.eng, &w.scatter
+	sc.pagesFor = resize(sc.pagesFor, nQueries, true)
+	sc.shareFor = resize(sc.shareFor, nQueries, true)
+	sc.depthFor = resize(sc.depthFor, nQueries, true)
+	sc.shardCnt = resize(sc.shardCnt, nQueries*e.numShards, true)
 	for _, pe := range w.plan {
 		sc.touch = sc.touch[:0]
 		for _, k := range w.coveredFlat[pe.from:pe.to] {
 			id := sc.keyIdx[k]
 			for _, qi := range sc.ownFlat[sc.ownOff[id]:sc.ownOff[id+1]] {
-				if !containsQ(sc.touch, qi) {
+				if !slices.Contains(sc.touch, qi) {
 					sc.touch = append(sc.touch, qi)
 				}
 			}
 		}
-		if len(sc.touch) == 0 {
-			continue
-		}
 		if len(sc.touch) > 1 {
-			br.Stats.SharedPageReads++
+			sharedReads++
 		}
 		share := 1 / float64(len(sc.touch))
 		shard, _ := e.be.ShardOf(pe.page)
@@ -247,19 +259,21 @@ func (w *Worker) LookupBatch(queries [][]Key) (BatchResult, error) {
 			sc.shareFor[qi] += share
 			cnt := &sc.shardCnt[int(qi)*e.numShards+shard]
 			*cnt++
-			if *cnt > sc.depthFor[qi] {
-				sc.depthFor[qi] = *cnt
-			}
+			sc.depthFor[qi] = max(sc.depthFor[qi], *cnt)
 		}
 	}
+	return sharedReads
+}
 
-	// Scatter: size the flat result arrays exactly, then carve per-query
-	// windows out of them (exact capacity keeps the backing arrays stable,
-	// so earlier windows never go stale).
-	sc.hitsFor = resizeInts(sc.hitsFor, len(queries))
-	sc.servedFor = resizeInts(sc.servedFor, len(queries))
-	sc.failFor = resizeInts(sc.failFor, len(queries))
-	sc.fbFor = resizeInts(sc.fbFor, len(queries))
+// scatterResults carves each query's Result out of the union: it sizes the
+// flat result arrays exactly, then hands every query a window of them
+// (exact capacity keeps the backing arrays stable, so earlier windows never
+// go stale), in the query's own distinct-key order, and closes its stats.
+func (w *Worker) scatterResults(queries [][]Key, union Result) []Result {
+	sc := &w.scatter
+	sc.hitsFor = resize(sc.hitsFor, len(queries), true)
+	sc.failFor = resize(sc.failFor, len(queries), true)
+	sc.fbFor = resize(sc.fbFor, len(queries), true)
 	totServed, totFailed := 0, 0
 	for qi := range queries {
 		for _, id := range sc.ids[sc.bounds[qi]:sc.bounds[qi+1]] {
@@ -275,25 +289,16 @@ func (w *Worker) LookupBatch(queries [][]Key) (BatchResult, error) {
 			if f&kfFallback != 0 {
 				sc.fbFor[qi]++
 			}
-			if sc.vecIdx[id] >= 0 {
-				sc.servedFor[qi]++
+			if sc.refIdx[id] >= 0 {
 				totServed++
 			}
 		}
 	}
-	sc.flatKeys = resizeKeys(sc.flatKeys, totServed)[:0]
-	sc.flatVecs = resizeVecs(sc.flatVecs, totServed)[:0]
-	sc.flatFail = resizeKeys(sc.flatFail, totFailed)[:0]
-	withRefs := union.Refs != nil
-	if withRefs {
-		sc.flatRefs = resizeRefs(sc.flatRefs, totServed)[:0]
-	}
+	sc.flatKeys = resize(sc.flatKeys, totServed, false)[:0]
+	sc.flatRefs = resize(sc.flatRefs, totServed, false)[:0]
+	sc.flatFail = resize(sc.flatFail, totFailed, false)[:0]
 
-	if cap(w.perQuery) < len(queries) {
-		w.perQuery = make([]Result, len(queries))
-	}
-	w.perQuery = w.perQuery[:len(queries)]
-	br.PerQuery = w.perQuery
+	w.perQuery = resize(w.perQuery, len(queries), false)
 	for qi := range queries {
 		keyFrom, failFrom := len(sc.flatKeys), len(sc.flatFail)
 		d := sc.distinct[sc.bounds[qi]:sc.bounds[qi+1]]
@@ -301,130 +306,39 @@ func (w *Worker) LookupBatch(queries [][]Key) (BatchResult, error) {
 			id := sc.ids[sc.bounds[qi]+j]
 			if sc.flags[id]&kfFailed != 0 {
 				sc.flatFail = append(sc.flatFail, k)
-				continue
-			}
-			if vi := sc.vecIdx[id]; vi >= 0 {
+			} else if ri := sc.refIdx[id]; ri >= 0 {
 				sc.flatKeys = append(sc.flatKeys, k)
-				sc.flatVecs = append(sc.flatVecs, union.Vectors[vi])
-				if withRefs {
-					sc.flatRefs = append(sc.flatRefs, union.Refs[vi])
-				}
+				sc.flatRefs = append(sc.flatRefs, union.Refs[ri])
 			}
 		}
-		st := QueryStats{
-			Keys:           len(queries[qi]),
-			DistinctKeys:   len(d),
-			CacheHits:      sc.hitsFor[qi],
-			PagesRead:      sc.pagesFor[qi],
-			PageShare:      sc.shareFor[qi],
-			MaxShardDepth:  sc.depthFor[qi],
-			BatchSize:      len(queries),
-			FailedKeys:     sc.failFor[qi],
-			Degraded:       sc.failFor[qi] > 0,
-			StoreFallbacks: sc.fbFor[qi],
-			// SSD-served keys exclude DRAM hits, failures, and host-store
-			// read-through alike, matching the combined pass's accounting
-			// (fallback vectors never crossed the device).
-			UsefulFromSSD: len(d) - sc.hitsFor[qi] - sc.failFor[qi] - sc.fbFor[qi],
-			Generation:    union.Stats.Generation,
-			StartNS:       union.Stats.StartNS,
-			EndNS:         union.Stats.EndNS,
-		}
-		if st.Degraded {
-			e.Recovery.DegradedQueries.Inc()
-			e.Recovery.FailedKeys.Add(int64(st.FailedKeys))
-		}
-		e.SpreadDepth.Add(st.MaxShardDepth)
-		e.Latency.Record(st.LatencyNS())
 		r := Result{
-			Stats:   st,
-			Keys:    sc.flatKeys[keyFrom:len(sc.flatKeys):len(sc.flatKeys)],
-			Vectors: sc.flatVecs[keyFrom:len(sc.flatVecs):len(sc.flatVecs)],
+			Stats: QueryStats{
+				Keys:           len(queries[qi]),
+				DistinctKeys:   len(d),
+				CacheHits:      sc.hitsFor[qi],
+				PagesRead:      sc.pagesFor[qi],
+				MaxShardDepth:  sc.depthFor[qi],
+				FailedKeys:     sc.failFor[qi],
+				Degraded:       sc.failFor[qi] > 0,
+				StoreFallbacks: sc.fbFor[qi],
+				// SSD-served keys exclude DRAM hits, failures, and host-store
+				// read-through alike, matching the combined pass's accounting
+				// (fallback payloads never crossed the device).
+				UsefulFromSSD: len(d) - sc.hitsFor[qi] - sc.failFor[qi] - sc.fbFor[qi],
+				Generation:    union.Stats.Generation,
+				StartNS:       union.Stats.StartNS,
+				EndNS:         union.Stats.EndNS,
+			},
+			Keys: sc.flatKeys[keyFrom:len(sc.flatKeys):len(sc.flatKeys)],
+			Refs: sc.flatRefs[keyFrom:len(sc.flatRefs):len(sc.flatRefs)],
 		}
-		if withRefs {
-			r.Refs = sc.flatRefs[keyFrom:len(sc.flatRefs):len(sc.flatRefs)]
-		}
+		w.finish(&r.Stats, len(queries), sc.shareFor[qi])
 		if failFrom < len(sc.flatFail) {
 			r.FailedKeys = sc.flatFail[failFrom:len(sc.flatFail):len(sc.flatFail)]
 		}
-		br.PerQuery[qi] = r
+		w.perQuery[qi] = r
 	}
-	return br, nil
-}
-
-// containsQ reports whether qs contains qi.
-func containsQ(qs []int32, qi int32) bool {
-	for _, q := range qs {
-		if q == qi {
-			return true
-		}
-	}
-	return false
-}
-
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeBytes(s []uint8, n int) []uint8 {
-	if cap(s) < n {
-		return make([]uint8, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeRefs(s []SlotRef, n int) []SlotRef {
-	if cap(s) < n {
-		return make([]SlotRef, n)
-	}
-	return s[:n]
-}
-
-func resizeKeys(s []Key, n int) []Key {
-	if cap(s) < n {
-		return make([]Key, n)
-	}
-	return s[:n]
-}
-
-func resizeVecs(s [][]float32, n int) [][]float32 {
-	if cap(s) < n {
-		return make([][]float32, n)
-	}
-	return s[:n]
+	return w.perQuery
 }
 
 // RunBatched is Run with cross-request micro-batching: queries are grouped

@@ -16,7 +16,7 @@ func collectQueryResult(r Result) (keys []Key, vecs map[Key][]float32, failed []
 	keys = append(keys, r.Keys...)
 	vecs = make(map[Key][]float32, len(r.Keys))
 	for i, k := range r.Keys {
-		vecs[k] = append([]float32(nil), r.Vectors[i]...)
+		vecs[k] = r.AppendVector(i, nil)
 	}
 	failed = append(failed, r.FailedKeys...)
 	return keys, vecs, failed
@@ -58,7 +58,7 @@ func TestLookupBatchScatterMatchesIsolated(t *testing.T) {
 		}
 		isoVecs := map[Key][]float32{}
 		for i, k := range iso.Keys {
-			isoVecs[k] = iso.Vectors[i]
+			isoVecs[k] = iso.AppendVector(i, nil)
 		}
 		for _, k := range gotKeys[qi] {
 			want, ok := isoVecs[k]
@@ -387,7 +387,7 @@ func TestLookupBatchStoreFallbackAttribution(t *testing.T) {
 		for i, k := range r.Keys {
 			want = syn.Vector(k, want[:0])
 			for j := range want {
-				if r.Vectors[i][j] != want[j] {
+				if r.Refs[i].Float32(j) != want[j] {
 					t.Fatalf("query %d key %d: wrong vector via fallback path", qi, k)
 				}
 			}

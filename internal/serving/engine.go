@@ -1,6 +1,9 @@
 // Package serving implements MaxEmbed's online phase end to end: query →
 // dedupe → DRAM cache probe → page selection → (pipelined) asynchronous
-// SSD reads → vector extraction → cache fill. Timing is virtual: device
+// SSD reads → in-place slot verification → cache fill. A lookup is five
+// stages over one worker's scratch — probe, plan, read, recover, assemble
+// (see lookupCombined and DESIGN.md §5) — and every served key comes back
+// as one thing, a SlotRef view of its little-endian payload bytes. Timing is virtual: device
 // time comes from the ssd package's discrete-event model and software time
 // from a CostModel, so runs are deterministic and reproducible while
 // preserving the paper's software/IO overlap structure (§6).
@@ -18,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -197,8 +201,8 @@ type Engine struct {
 	// the pre-submit plan reroute, and recovery targeting all consult it.
 	health     ssd.HealthReporter
 	idx        *selection.Index
-	cache      *cache.Cache[Key, []float32]
-	vecs       *cache.Slab[float32] // the cache's vector storage; nil without a Store
+	cache      *cache.Cache[Key, []byte]
+	vecs       *cache.Slab[byte] // the cache's payload storage; nil without a Store
 	shadow     *cache.Shadow[Key]
 	costs      CostModel
 	dim        int
@@ -311,7 +315,7 @@ func New(cfg Config) (*Engine, error) {
 	case cfg.Store != nil:
 		e.dim = cfg.Store.Dim()
 		e.vecSize = e.dim * 4
-		e.vecs = cache.NewSlab[float32](e.dim)
+		e.vecs = cache.NewSlab[byte](e.vecSize)
 	case cfg.VectorBytes > 0:
 		e.vecSize = cfg.VectorBytes
 	default:
@@ -330,9 +334,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.CacheEntries > 0 || len(cfg.PinnedKeys) > 0 {
 		if cfg.SegmentedCache {
-			e.cache = cache.NewSegmentedLRU[Key, []float32](cfg.CacheEntries, cache.Uint32Hasher)
+			e.cache = cache.NewSegmentedLRU[Key, []byte](cfg.CacheEntries, cache.Uint32Hasher)
 		} else {
-			e.cache = cache.New[Key, []float32](cfg.CacheEntries, cache.Uint32Hasher)
+			e.cache = cache.New[Key, []byte](cfg.CacheEntries, cache.Uint32Hasher)
 		}
 		if err := e.pinKeys(cfg.PinnedKeys); err != nil {
 			return nil, err
@@ -345,48 +349,83 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // pinKeys installs the DRAM pin-set before the engine is shared: with a
-// Store the real vectors are extracted (one read per distinct home page);
+// Store the real payloads are read (one read per distinct home page);
 // timing-only engines pin nil placeholders.
 func (e *Engine) pinKeys(keys []Key) error {
-	if len(keys) == 0 {
-		return nil
-	}
 	lay := e.cfg.Layout
-	if e.cfg.Store == nil {
-		for _, k := range keys {
-			if int(k) >= lay.NumKeys {
-				return fmt.Errorf("serving: pinned key %d out of range (%d keys)", k, lay.NumKeys)
-			}
-			e.cache.Pin(k, nil)
-		}
-		return nil
-	}
 	byPage := make(map[layout.PageID][]Key)
 	for _, k := range keys {
 		if int(k) >= lay.NumKeys {
 			return fmt.Errorf("serving: pinned key %d out of range (%d keys)", k, lay.NumKeys)
 		}
-		home := lay.Home[k]
-		byPage[home] = append(byPage[home], k)
-	}
-	buf := make([]byte, e.cfg.Store.PageSize())
-	for home, ks := range byPage {
-		if err := e.cfg.Store.ReadPage(home, buf); err != nil {
-			return fmt.Errorf("serving: pin page %d: %w", home, err)
+		if e.cfg.Store == nil {
+			e.cache.Pin(k, nil)
+			continue
 		}
-		nSlots := len(lay.Pages[home])
-		for _, k := range ks {
-			vec, ok, err := store.ExtractFromImage(buf, e.dim, k, nSlots, nil)
-			if err != nil {
-				return fmt.Errorf("serving: pin key %d: %w", k, err)
-			}
-			if !ok {
-				return fmt.Errorf("serving: pin: home page %d missing key %d", home, k)
-			}
-			e.cache.Pin(k, vec)
+		byPage[lay.Home[k]] = append(byPage[lay.Home[k]], k)
+	}
+	return e.homePayloads(byPage, func(k Key, payload []byte) {
+		e.cache.Pin(k, append([]byte(nil), payload...))
+	})
+}
+
+// homePayloads reads each home page of byPage from the store once, verifies
+// the keys listed for it and hands each one's payload view to use. The view
+// is only valid during the call. pinKeys and WarmCache fill the cache
+// through it, outside any lookup.
+func (e *Engine) homePayloads(byPage map[layout.PageID][]Key, use func(k Key, payload []byte)) error {
+	if len(byPage) == 0 {
+		return nil
+	}
+	img := make([]byte, e.cfg.Store.PageSize())
+	var refs []SlotRef
+	for home, ks := range byPage {
+		var err error
+		if refs, err = e.pageViews(ssd.Completion{Page: home}, img, ks, refs[:0]); err != nil {
+			return err
+		}
+		for i, k := range ks {
+			use(k, refs[i].Payload)
 		}
 	}
 	return nil
+}
+
+// pageViews is the one extractor: it verifies each of keys in page c.Page's
+// image, in place, and appends one payload view per key to dst. The image
+// is the completion's own buffer when the read produced one (real-I/O
+// backends); otherwise — simulated reads, and home pages read for pinning,
+// warming and store fallback — it is read from Config.Store into img. On
+// any failure dst comes back as it was passed, so the whole page can be
+// recovered elsewhere.
+func (e *Engine) pageViews(c ssd.Completion, img []byte, keys []Key, dst []SlotRef) ([]SlotRef, error) {
+	if c.Buf != nil {
+		img = c.Buf.Bytes()
+	} else if err := e.cfg.Store.ReadPage(c.Page, img); err != nil {
+		return dst, fmt.Errorf("serving: page %d payload: %w", c.Page, err)
+	}
+	nSlots := len(e.cfg.Layout.Pages[c.Page])
+	if c.Corrupt {
+		// Injected in-flight corruption damages the host's image (never
+		// the store) so the checksum path detects it like real bit rot.
+		slot := embedding.SlotSize(e.dim)
+		for i := 0; i < nSlots; i++ {
+			img[i*slot+4] ^= 0xA5
+		}
+	}
+	mark := len(dst)
+	for _, k := range keys {
+		off, found, err := store.VerifySlotInImage(img, e.dim, k, nSlots)
+		if err == nil && !found {
+			err = fmt.Errorf("page does not hold key %d", k)
+		}
+		if err != nil {
+			return dst[:mark], fmt.Errorf("serving: extract key %d from page %d: %w", k, c.Page, err)
+		}
+		end := off + e.vecSize
+		dst = append(dst, SlotRef{Payload: img[off:end:end], buf: c.Buf})
+	}
+	return dst, nil
 }
 
 // Shadow returns the engine's ghost-cache bank, or nil when
@@ -423,7 +462,7 @@ func (e *Engine) Generation() uint64 { return e.gen }
 func (e *Engine) Layout() *layout.Layout { return e.cfg.Layout }
 
 // Cache returns the DRAM cache, or nil when disabled.
-func (e *Engine) Cache() *cache.Cache[Key, []float32] { return e.cache }
+func (e *Engine) Cache() *cache.Cache[Key, []byte] { return e.cache }
 
 // QueryStats describes one processed query.
 type QueryStats struct {
@@ -489,25 +528,18 @@ type QueryStats struct {
 // LatencyNS returns the end-to-end virtual latency.
 func (s QueryStats) LatencyNS() int64 { return s.EndNS - s.StartNS }
 
-// Result is the outcome of one lookup. Vectors are only populated when the
-// engine has a Store. Everything a Result points to is worker memory the
-// worker's next lookup reuses — nothing aliases the DRAM cache — so the
-// caller must consume the result before then.
+// Result is the outcome of one lookup. Everything a Result points to is
+// worker memory the worker's next lookup reuses — nothing aliases the DRAM
+// cache — so the caller must consume the result before then (or Hold the
+// views it needs longer).
 type Result struct {
 	Stats QueryStats
-	// Keys and Vectors are parallel, covering every distinct key of the
-	// query that was served. Each entry's embedding is in exactly one
-	// place: Vectors[i] when the worker holds a decoded copy (cache hits,
-	// store fallbacks, simulated reads), or Refs[i] with Vectors[i] == nil
-	// when a real-I/O backend served the key straight from a completion
-	// buffer. A DRAM cache does not change which.
-	Keys    []Key
-	Vectors [][]float32
-	// Refs, non-nil exactly when the engine has a Store, is parallel to
-	// Keys: Refs[i], when Valid, is a zero-copy view of Keys[i]'s
-	// checksum-verified payload inside a completion buffer (see SlotRef).
-	// Views stay valid until the worker's next lookup; retain them to hold
-	// the buffers longer.
+	// Keys and Refs are parallel, covering every distinct key of the query
+	// that was served: Refs[i] is a view of Keys[i]'s payload bytes,
+	// whichever of an SSD page, the host store or the DRAM cache served it
+	// and on either backend (see SlotRef). A timing-only engine (no Store)
+	// serves empty views.
+	Keys []Key
 	Refs []SlotRef
 	// FailedKeys lists distinct query keys that could not be served
 	// because every read attempt within the retry budget failed. Empty on
@@ -515,20 +547,9 @@ type Result struct {
 	FailedKeys []Key
 }
 
-// RetainRefs takes one reference per valid ref in the result, pinning the
-// underlying completion buffers past the worker's next lookup. Pair with
-// ReleaseRefs.
-func (r *Result) RetainRefs() {
-	for i := range r.Refs {
-		r.Refs[i].Retain()
-	}
-}
-
-// ReleaseRefs drops the references taken by RetainRefs.
-func (r *Result) ReleaseRefs() {
-	for i := range r.Refs {
-		r.Refs[i].Release()
-	}
+// AppendVector appends entry i's decoded vector to dst and returns it.
+func (r *Result) AppendVector(i int, dst []float32) []float32 {
+	return r.Refs[i].AppendVector(dst)
 }
 
 // planEntry records one selected page and the range of covered keys in
@@ -536,8 +557,27 @@ func (r *Result) ReleaseRefs() {
 type planEntry struct {
 	page       layout.PageID
 	from, to   int
-	issueAtNS  int64
 	selectCost int64
+}
+
+// pageKeys is the keys one page is to serve: a reroute target, a recovery
+// read, or a home page read through from the store.
+type pageKeys struct {
+	page layout.PageID
+	keys []Key
+}
+
+// addToPage appends k to page's group, opening the group on first use.
+// Groups keep first-use order and keys arrival order, so every schedule
+// built from them is deterministic.
+func addToPage(groups []pageKeys, page layout.PageID, k Key) []pageKeys {
+	for i := range groups {
+		if groups[i].page == page {
+			groups[i].keys = append(groups[i].keys, k)
+			return groups
+		}
+	}
+	return append(groups, pageKeys{page: page, keys: []Key{k}})
 }
 
 // pageFailure is one failed page read pending recovery: the keys that were
@@ -549,19 +589,6 @@ type pageFailure struct {
 	attempt int
 	tried   []layout.PageID
 	cause   error
-}
-
-// extracted records one successfully decoded vector in Worker.vecArena.
-type extracted struct {
-	key Key
-	off int
-}
-
-// refExtracted records one checksum-verified zero-copy payload view into a
-// completion buffer (real-I/O backends).
-type refExtracted struct {
-	key Key
-	ref SlotRef
 }
 
 // Worker is a single-threaded serving session: it owns a selector, an SSD
@@ -582,7 +609,7 @@ type Worker struct {
 
 	// depthBuf is scratch for per-shard depth counting over the final
 	// plan. Distinct from shardLoad, which tracks the plan under
-	// construction and is left stale by reroutePlan on purpose.
+	// construction and is left stale by reroute on purpose.
 	depthBuf []int
 
 	// ctx, when non-nil, cancels the recovery retry loop of the query in
@@ -590,40 +617,50 @@ type Worker struct {
 	// burning retries and queue slots. Set by LookupCtx per query.
 	ctx context.Context
 
-	// Per-query scratch.
+	// Per-query scratch, grouped by the stage that writes it; later stages
+	// and LookupBatch's scatter only read it.
+	//
+	// probe: the query's distinct keys, the ones the cache served, and
+	// their payloads copied back to back into arena. seen holds the
+	// distinct keys; true marks the probe's hits, which selection skips.
+	distinct []Key
+	hitKeys  []Key
+	arena    []byte
+	seen     map[Key]bool
+	// plan: the pages to read and, flattened, the keys each is to serve;
+	// plan2/flat2 are what reroute rebuilds them into. fbKeys are the keys
+	// reroute found no live replica for.
 	plan        []planEntry
 	coveredFlat []Key
-	plan2       []planEntry // reroute scratch: rebuilt plan
-	flat2       []Key       // reroute scratch: rebuilt coveredFlat
-	fbKeys      []Key       // keys with no live replica, for store fallback
-	distinct    []Key
-	batchBuf    []Key
-	hitKeys     []Key
-	vecArena    []float32 // cache hits' copies first, then extractions
-	out         []extracted
-	refOut      []refExtracted // zero-copy extractions (real-I/O backends)
-	held        []*ssd.PageBuf // completion buffers alive until next lookup
-	pageBuf     []byte
-	failures    []pageFailure
-	failedKeys  []Key
-	resKeys     []Key
-	resVecs     [][]float32
-	resRefs     []SlotRef
-	perQuery    []Result // LookupBatch's scattered results, reused per batch
-	compMap     map[layout.PageID]ssd.Completion
-	// seen holds the query's distinct keys; true marks the ones this
-	// lookup's cache probe hit, which is what selection skips.
-	seen map[Key]bool
+	plan2       []planEntry
+	flat2       []Key
+	fbKeys      []Key
+	// read and recover: keys/refs are the one output list, a verified view
+	// per key served from a page image. The images stay alive until the
+	// next lookup's probe: completion buffers in held, worker-owned page
+	// buffers (the first pagesUsed of pageBufs) for reads that came without
+	// one. failures queues page reads for recovery; failedKeys is final.
+	keys       []Key
+	refs       []SlotRef
+	held       []*ssd.PageBuf
+	pageBufs   [][]byte
+	pagesUsed  int
+	compMap    map[layout.PageID]ssd.Completion
+	failures   []pageFailure
+	failedKeys []Key
+	// assemble appends the probe's hits to keys/refs, which the Result
+	// then aliases.
+
+	batchBuf []Key    // LookupBatch's concatenated queries
+	perQuery []Result // LookupBatch's scattered results, reused per batch
+	scatter  scatterScratch
 
 	// skipFn and emitFn are the selection callbacks, built once per worker
 	// so the hot path does not allocate a closure per query. emitFn reads
-	// prevSel, which lookupCombined resets before each selection.
+	// prevSel, which planPages resets before each selection.
 	skipFn  func(Key) bool
 	emitFn  selection.EmitFunc
 	prevSel selection.Stats
-
-	// Batch-scatter scratch (LookupBatch).
-	scatter scatterScratch
 }
 
 // NewWorker returns a worker bound to the engine. The worker's virtual
@@ -661,9 +698,6 @@ func (e *Engine) NewWorker() *Worker {
 			w.shardLoad[s]++
 		}
 	}
-	if e.cfg.Store != nil {
-		w.pageBuf = make([]byte, e.cfg.Store.PageSize())
-	}
 	if e.numShards > 1 {
 		// Break page-score ties toward the shard this query has steered the
 		// fewest reads to so far: a worker drains its queues every query, so
@@ -694,10 +728,20 @@ func (e *Engine) NewWorker() *Worker {
 	return w
 }
 
+// pageLive reports whether page p's shard is serving reads. Backends that
+// report no health are always live.
+func (e *Engine) pageLive(p layout.PageID) bool {
+	if e.health == nil {
+		return true
+	}
+	s, _ := e.be.ShardOf(p)
+	return e.health.ShardState(s).Live()
+}
+
 // planMaxShardDepth counts the final plan's reads per shard and returns
 // the deepest count. It recomputes from w.plan rather than reading
 // w.shardLoad: the tie-break counters track the plan as selection built
-// it, and reroutePlan rebuilds the plan without maintaining them.
+// it, and reroute rebuilds the plan without maintaining them.
 func (w *Worker) planMaxShardDepth() int {
 	e := w.eng
 	if len(w.plan) == 0 {
@@ -709,16 +753,12 @@ func (w *Worker) planMaxShardDepth() int {
 	if w.depthBuf == nil {
 		w.depthBuf = make([]int, e.numShards)
 	}
-	for i := range w.depthBuf {
-		w.depthBuf[i] = 0
-	}
+	clear(w.depthBuf)
 	deepest := 0
 	for _, pe := range w.plan {
 		s, _ := e.be.ShardOf(pe.page)
 		w.depthBuf[s]++
-		if w.depthBuf[s] > deepest {
-			deepest = w.depthBuf[s]
-		}
+		deepest = max(deepest, w.depthBuf[s])
 	}
 	return deepest
 }
@@ -762,47 +802,74 @@ func (w *Worker) Lookup(query []Key) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	res.Stats.BatchSize = 1
-	res.Stats.PageShare = float64(res.Stats.PagesRead)
-	if res.Stats.Degraded {
-		w.eng.Recovery.DegradedQueries.Inc()
-		w.eng.Recovery.FailedKeys.Add(int64(res.Stats.FailedKeys))
-	}
-	w.eng.SpreadDepth.Add(res.Stats.MaxShardDepth)
-	w.eng.Latency.Record(res.Stats.LatencyNS())
+	w.finish(&res.Stats, 1, float64(res.Stats.PagesRead))
 	return res, nil
 }
 
-// lookupCombined is the combined dedupe → cache probe → selection →
-// pipelined-read → recovery pass behind both Lookup and LookupBatch. It
-// leaves the worker's per-query scratch (plan, coveredFlat, hitKeys,
-// failedKeys) describing the pass so LookupBatch can scatter the outcome
-// back per query, and does not record latency — callers attribute it.
-// record controls history recording: Lookup records its distinct key set
-// here, LookupBatch records each member query's set separately so the
-// refresh loop sees true per-query co-appearance, not batch artifacts.
-func (w *Worker) lookupCombined(query []Key, record bool) (Result, error) {
+// LookupCtx is Lookup with cancellation: when ctx is cancelled, the
+// recovery retry loop stops immediately and any keys still pending
+// recovery degrade to FailedKeys instead of burning further retries and
+// queue slots — the serving path for requests whose HTTP client has gone
+// away. The initial read wave is not interrupted (it is a single
+// submit/drain on the virtual clock); cancellation takes effect at retry
+// boundaries, where the real time is spent under faults.
+func (w *Worker) LookupCtx(ctx context.Context, query []Key) (Result, error) {
+	w.ctx = ctx
+	defer func() { w.ctx = nil }()
+	return w.Lookup(query)
+}
+
+// finish closes one served query's stats — an isolated Lookup's, or one
+// member of a batch — and feeds the engine's per-query aggregates:
+// degradation counters, the spread-depth histogram and the latency
+// recorder. pageShare is the query's apportioned share of the page reads.
+func (w *Worker) finish(st *QueryStats, batchSize int, pageShare float64) {
 	e := w.eng
-	var st QueryStats
-	st.Keys = len(query)
-	st.Generation = e.gen
-	st.StartNS = w.now
-	t := w.now
-
-	// The previous lookup's zero-copy views die here: drop the worker's
-	// references so completion buffers recycle (unless a caller Retained).
-	w.releaseHeld()
-	w.refOut = w.refOut[:0]
-
-	for i := range w.shardLoad {
-		w.shardLoad[i] = 0
+	st.BatchSize, st.PageShare = batchSize, pageShare
+	if st.Degraded {
+		e.Recovery.DegradedQueries.Inc()
+		e.Recovery.FailedKeys.Add(int64(st.FailedKeys))
 	}
+	e.SpreadDepth.Add(st.MaxShardDepth)
+	e.Latency.Record(st.LatencyNS())
+}
 
-	// Cache probe over distinct keys (first-appearance order, so LRU
-	// promotion order is deterministic); hits are served from DRAM.
-	w.hitKeys = w.hitKeys[:0]
-	w.vecArena = w.vecArena[:0]
-	w.distinct = w.distinct[:0]
+// lookupCombined is the one pass behind both Lookup and LookupBatch: five
+// stages, each writing its own part of the worker's scratch (see Worker)
+// and advancing the virtual clock t. It leaves that scratch describing the
+// pass so LookupBatch can scatter the outcome back per query, and records
+// no per-query aggregate — callers attribute those through finish. record
+// controls history recording: Lookup records its distinct key set here,
+// LookupBatch records each member query's set separately so the refresh
+// loop sees true per-query co-appearance, not batch artifacts.
+func (w *Worker) lookupCombined(query []Key, record bool) (Result, error) {
+	st := QueryStats{Keys: len(query), Generation: w.eng.gen, StartNS: w.now}
+	t := w.probe(&st, query, record)
+	if err := w.planPages(&st, query); err != nil {
+		return Result{}, err
+	}
+	t = w.readPages(&st, t)
+	t = w.recover(&st, t)
+	return w.assemble(&st, t), nil
+}
+
+// probe opens a lookup. The previous lookup's views die here: the worker's
+// references on its completion buffers are dropped (they recycle unless a
+// holder took its own), and its page buffers and arena are reused. Then
+// the query is deduplicated in first-appearance order — so LRU promotion
+// order is deterministic — and each distinct key probed once, hits copied
+// into the arena under the cache's lock: displaced cache storage is
+// recycled, so never aliased. Returns the clock after the probe and the
+// sort of the misses (§6.1 ❶ happens inside the selector; the model
+// charges for the keys that reach it).
+func (w *Worker) probe(st *QueryStats, query []Key, record bool) int64 {
+	e := w.eng
+	for i, b := range w.held {
+		b.Release()
+		w.held[i] = nil
+	}
+	w.held, w.pagesUsed = w.held[:0], 0
+	w.hitKeys, w.arena, w.distinct = w.hitKeys[:0], w.arena[:0], w.distinct[:0]
 	clear(w.seen)
 	for _, k := range query {
 		if _, dup := w.seen[k]; dup {
@@ -821,12 +888,11 @@ func (w *Worker) lookupCombined(query []Key, record bool) (Result, error) {
 		// capacity would have had. Host bookkeeping: no virtual time.
 		e.shadow.TouchAll(w.distinct)
 	}
+	t := w.now
 	if e.cache != nil {
-		// One probe per key, copying hits into the arena under the cache's
-		// lock: displaced cache storage is recycled, so never aliased.
 		for _, k := range w.distinct {
 			var ok bool
-			if w.vecArena, ok = cache.GetAppend(e.cache, k, w.vecArena); ok {
+			if w.arena, ok = cache.GetAppend(e.cache, k, w.arena); ok {
 				w.hitKeys = append(w.hitKeys, k)
 				w.seen[k] = true
 			}
@@ -836,304 +902,245 @@ func (w *Worker) lookupCombined(query []Key, record bool) (Result, error) {
 		st.OtherSoftNS += probe
 		st.CacheHits = len(w.hitKeys)
 	}
-	// Sort cost is charged up front (§6.1 ❶ happens inside the selector;
-	// the model charges for the keys that reach it).
-	missKeys := st.DistinctKeys - st.CacheHits
-	sortCost := e.costs.Sort(missKeys)
-	t += sortCost
-	st.SortNS = sortCost
+	st.SortNS = e.costs.Sort(st.DistinctKeys - st.CacheHits)
+	return t + st.SortNS
+}
 
-	// Page selection, optionally pipelined with submission. The callbacks
-	// are worker-lifetime (built in NewWorker); emitFn accumulates into
-	// w.plan/w.coveredFlat and reads w.prevSel, reset here per query.
-	w.plan = w.plan[:0]
-	w.coveredFlat = w.coveredFlat[:0]
+// planPages selects the pages that cover the probe's misses into w.plan /
+// w.coveredFlat (through emitFn, which also prices each page), then moves
+// reads off failed shards. After it every page appears in the plan once
+// and every key to be read under exactly one page.
+func (w *Worker) planPages(st *QueryStats, query []Key) error {
+	e := w.eng
+	clear(w.shardLoad)
+	w.plan, w.coveredFlat = w.plan[:0], w.coveredFlat[:0]
 	w.prevSel = selection.Stats{}
-	var selErr error
+	var err error
 	switch {
 	case e.cfg.Greedy:
-		_, selErr = w.sel.Greedy(query, w.skipFn, w.emitFn)
+		_, err = w.sel.Greedy(query, w.skipFn, w.emitFn)
 	case e.cfg.UnsortedSelection:
-		_, selErr = w.sel.OnePassUnsorted(query, w.skipFn, w.emitFn)
+		_, err = w.sel.OnePassUnsorted(query, w.skipFn, w.emitFn)
 	default:
-		_, selErr = w.sel.OnePass(query, w.skipFn, w.emitFn)
+		_, err = w.sel.OnePass(query, w.skipFn, w.emitFn)
 	}
-	if selErr != nil {
-		return Result{}, selErr
+	if err != nil {
+		return err
 	}
-
-	// On a health-reporting backend, move reads planned onto
-	// failed/rebuilding shards to live replicas before submitting anything.
-	w.reroutePlan(&st)
+	w.reroute(st)
 	st.MaxShardDepth = w.planMaxShardDepth()
+	return nil
+}
 
-	// Submit per the pipeline mode, charging selection cost as it accrues.
-	if e.cfg.Pipeline {
-		for i := range w.plan {
-			t += w.plan[i].selectCost
-			st.SelectNS += w.plan[i].selectCost
-			w.plan[i].issueAtNS = w.q.Submit(w.plan[i].page, t)
+// reroute runs between selection and submission on health-reporting
+// backends: pages planned on failed or rebuilding shards are replaced by
+// replica candidates on live shards before any read is issued, so a
+// declared-dead drive costs zero wasted reads per query instead of one
+// fault-plus-recovery per touched page. Keys with no live replica are set
+// aside for host-store read-through (serveFromStore). The plan and its
+// covered-keys arena are rebuilt into fresh scratch and swapped — never
+// appended to in place — so per-key accounting (UsefulFromSSD, batch
+// scatter) keeps seeing each key exactly once.
+func (w *Worker) reroute(st *QueryStats) {
+	e := w.eng
+	w.fbKeys = w.fbKeys[:0]
+	if e.health == nil {
+		return
+	}
+	var moved []pageKeys
+	for _, pe := range w.plan {
+		if e.pageLive(pe.page) {
+			continue
 		}
-	} else {
-		for i := range w.plan {
-			t += w.plan[i].selectCost
-			st.SelectNS += w.plan[i].selectCost
-		}
-		for i := range w.plan {
-			w.plan[i].issueAtNS = w.q.Submit(w.plan[i].page, t)
+		for _, k := range w.coveredFlat[pe.from:pe.to] {
+			if target, ok := w.liveCandidate(k, pe.page, moved); ok {
+				moved = addToPage(moved, target, k)
+				st.ShardReroutes++
+			} else {
+				w.fbKeys = append(w.fbKeys, k)
+			}
 		}
 	}
-
-	// Reap completions, extract vectors, and recover from faults.
-	done, comps := w.q.Drain(t)
-	ssdWait := done - t
-	if ssdWait < 0 {
-		ssdWait = 0
+	if st.ShardReroutes == 0 && len(w.fbKeys) == 0 {
+		return
 	}
-	st.SSDWaitNS = ssdWait
-	t = done
+	e.Recovery.ShardReroutes.Add(int64(st.ShardReroutes))
+
+	// A live entry keeps its keys and takes the ones rerouted to its page:
+	// a page is read once however its keys arrived at it (two reads of one
+	// page would come back as two completions for one plan slot). Targets
+	// not in the plan yet become new entries, in first-use order.
+	w.plan2, w.flat2 = w.plan2[:0], w.flat2[:0]
+	for _, pe := range w.plan {
+		if !e.pageLive(pe.page) {
+			continue
+		}
+		from := len(w.flat2)
+		w.flat2 = append(w.flat2, w.coveredFlat[pe.from:pe.to]...)
+		for i := range moved {
+			if moved[i].page == pe.page {
+				w.flat2 = append(w.flat2, moved[i].keys...)
+				moved[i].keys = nil
+			}
+		}
+		pe.from, pe.to = from, len(w.flat2)
+		w.plan2 = append(w.plan2, pe)
+	}
+	for _, g := range moved {
+		if g.keys == nil {
+			continue
+		}
+		from := len(w.flat2)
+		w.flat2 = append(w.flat2, g.keys...)
+		w.plan2 = append(w.plan2, planEntry{
+			page: g.page, from: from, to: len(w.flat2),
+			// The reroute's own cost is one extra submit per new page;
+			// the original entries' selection cost was already charged.
+			selectCost: e.costs.Submit(),
+		})
+	}
+	w.plan, w.plan2 = w.plan2, w.plan
+	w.coveredFlat, w.flat2 = w.flat2, w.coveredFlat
+}
+
+// liveCandidate picks key k's reroute target: a candidate page on a live
+// shard, preferring one this reroute is already reading (so shared pages
+// cost one read, not one per key), excluding the dead page being replaced.
+func (w *Worker) liveCandidate(k Key, avoid layout.PageID, moved []pageKeys) (layout.PageID, bool) {
+	e := w.eng
+	var first layout.PageID
+	found := false
+	for _, cand := range e.idx.Candidates(k) {
+		if cand == avoid || !e.pageLive(cand) {
+			continue
+		}
+		for i := range moved {
+			if moved[i].page == cand {
+				return cand, true
+			}
+		}
+		if !found {
+			first, found = cand, true
+		}
+	}
+	return first, found
+}
+
+// readPages submits the plan, waits for it and extracts every page that
+// arrived, queueing the ones that did not for recover. Selection cost
+// accrues per chosen page: with Config.Pipeline each read is issued the
+// moment its page is chosen (§6.2), otherwise all are issued when selection
+// ends. Streamed submission and reaping completions as they land are edits
+// to this one loop pair.
+func (w *Worker) readPages(st *QueryStats, t int64) int64 {
+	e := w.eng
+	for i := range w.plan {
+		st.SelectNS += w.plan[i].selectCost
+	}
+	selected := t + st.SelectNS
+	for i := range w.plan {
+		t += w.plan[i].selectCost
+		at := selected
+		if e.cfg.Pipeline {
+			at = t
+		}
+		w.q.Submit(w.plan[i].page, at)
+	}
+	done, comps := w.q.Drain(selected)
+	st.SSDWaitNS = max(done-selected, 0)
 	st.PagesRead = len(w.plan)
 
-	w.out = w.out[:0]
-	w.failures = w.failures[:0]
-	w.failedKeys = w.failedKeys[:0]
+	w.keys, w.refs = w.keys[:0], w.refs[:0]
+	w.failures, w.failedKeys = w.failures[:0], w.failedKeys[:0]
+	w.indexCompletions(comps)
+	for _, pe := range w.plan {
+		keys := w.coveredFlat[pe.from:pe.to]
+		if cause := w.consume(st, w.compMap[pe.page], keys); cause != nil {
+			w.failures = append(w.failures, pageFailure{page: pe.page, keys: keys, cause: cause})
+		}
+	}
+	return done
+}
+
+// indexCompletions rebuilds compMap over one drain's completions.
+func (w *Worker) indexCompletions(comps []ssd.Completion) {
 	clear(w.compMap)
 	for _, c := range comps {
 		w.compMap[c.Page] = c
 	}
-	// The Fig 9 histogram is fed per read as its outcome resolves: a read
-	// that faulted served nothing (0 valid embeddings), and recovery reads
-	// — issued in recover below — are reads too, each counted with the
-	// keys it actually served. Crediting planned coverage up front would
-	// overstate the histogram (and everything derived from it) exactly
-	// when faults make it matter.
-	for _, pe := range w.plan {
-		keys := w.coveredFlat[pe.from:pe.to]
-		c := w.compMap[pe.page]
-		if fail, cause := w.consume(&st, c, keys); fail {
-			e.ValidPerRead.Add(0)
-			w.failures = append(w.failures, pageFailure{page: pe.page, keys: keys, cause: cause})
-		} else {
-			e.ValidPerRead.Add(len(keys))
-		}
-	}
-	if len(w.failures) > 0 {
-		t = w.recover(&st, t)
-	}
-	st.UsefulFromSSD = len(w.coveredFlat) - len(w.failedKeys)
-	if len(w.fbKeys) > 0 {
-		t = w.serveFromStore(&st, t)
-	}
-
-	// Assemble the result and fill the cache. Zero-copy extractions come
-	// first (their refs alias completion buffers pinned in w.held), then
-	// arena-backed extractions (simulated reads, store fallbacks), then
-	// DRAM cache hits. Each miss is decoded or copied straight into the
-	// storage the previous fill displaced.
-	res := Result{}
-	w.resKeys = w.resKeys[:0]
-	w.resVecs = w.resVecs[:0]
-	w.resRefs = w.resRefs[:0]
-	extract := e.costs.Extract(len(w.out) + len(w.refOut))
-	t += extract
-	st.OtherSoftNS += extract
-	if e.cfg.Store != nil {
-		var spare []float32 // cache storage the last miss-fill displaced
-		for _, x := range w.refOut {
-			w.resKeys = append(w.resKeys, x.key)
-			w.resRefs = append(w.resRefs, x.ref)
-			w.resVecs = append(w.resVecs, nil)
-			if e.cache != nil {
-				spare, _ = e.cache.Put(x.key, x.ref.AppendVector(e.vecs.Get(spare)))
-			}
-		}
-		for _, x := range w.out {
-			vec := w.vecArena[x.off : x.off+e.dim]
-			w.resKeys = append(w.resKeys, x.key)
-			w.resVecs = append(w.resVecs, vec)
-			w.resRefs = append(w.resRefs, SlotRef{})
-			if e.cache != nil {
-				spare, _ = e.cache.Put(x.key, append(e.vecs.Get(spare), vec...))
-			}
-		}
-		e.vecs.Put(spare)
-	} else if e.cache != nil {
-		// Selection is over, so seen is free to mark the failed keys.
-		clear(w.seen)
-		for _, k := range w.failedKeys {
-			w.seen[k] = true
-		}
-		for _, k := range w.coveredFlat {
-			if !w.seen[k] {
-				e.cache.Put(k, nil)
-			}
-		}
-	}
-	w.resKeys = append(w.resKeys, w.hitKeys...)
-	for i := range w.hitKeys {
-		// Hit i sits at the head of the arena, dim (timing-only: 0) wide.
-		w.resVecs = append(w.resVecs, w.vecArena[i*e.dim:(i+1)*e.dim])
-		w.resRefs = append(w.resRefs, SlotRef{})
-	}
-	res.Keys = w.resKeys
-	res.Vectors = w.resVecs
-	if e.cfg.Store != nil {
-		res.Refs = w.resRefs
-	}
-	// Degradation counters are the caller's: Lookup counts one degraded
-	// query, LookupBatch attributes failed keys to each owning query.
-	if len(w.failedKeys) > 0 {
-		st.FailedKeys = len(w.failedKeys)
-		st.Degraded = true
-		res.FailedKeys = w.failedKeys
-	}
-
-	w.foldQueuePeaks()
-	st.EndNS = t
-	w.now = t
-	res.Stats = st
-	return res, nil
 }
 
-// consume processes one page read's completion: it observes device errors,
-// and — when a Store is present — extracts and verifies every covered
-// key's vector from the page image. It reports whether the page must enter
-// recovery, with the cause.
-func (w *Worker) consume(st *QueryStats, c ssd.Completion, keys []Key) (failed bool, cause error) {
+// consume processes one page read's completion: it observes device errors
+// and — when a Store is present — verifies every covered key's slot in the
+// page image and records a view of it. A non-nil return is why the page
+// must enter recovery.
+//
+// The Fig 9 histogram is fed here, per read as its outcome resolves: a read
+// that faulted served nothing (0 valid embeddings), and recovery reads are
+// reads too, each counted with the keys it actually served. Crediting
+// planned coverage up front would overstate the histogram (and everything
+// derived from it) exactly when faults make it matter.
+func (w *Worker) consume(st *QueryStats, c ssd.Completion, keys []Key) error {
 	e := w.eng
-	if c.Err != nil {
+	err := c.Err
+	switch {
+	case err != nil:
 		if c.Buf != nil {
 			// Defensive: real-I/O drains release error buffers themselves.
 			c.Buf.Release()
 		}
-		st.ReadFaults++
 		e.Recovery.ReadErrors.Inc()
-		if errors.Is(c.Err, ssd.ErrTimeout) {
+		if errors.Is(err, ssd.ErrTimeout) {
 			e.Recovery.Timeouts.Inc()
 		}
-		return true, c.Err
-	}
-	if c.Buf != nil {
-		// Real-I/O backend: the page image arrived in a refcounted
-		// completion buffer. Verify and slice payloads in place — the
-		// zero-copy path — instead of re-reading the host store.
-		if e.cfg.Store == nil {
-			c.Buf.Release()
-			return false, nil
-		}
-		if err := w.extractRefs(c, keys); err != nil {
-			st.ReadFaults++
-			if errors.Is(err, store.ErrCorrupt) {
-				st.Corruptions++
-				e.Recovery.Corruptions.Inc()
-			}
-			return true, err
-		}
-		return false, nil
-	}
-	if e.cfg.Store == nil {
+	case e.cfg.Store == nil:
 		// Timing-only: nothing to extract; silent corruption is
 		// undetectable without payloads, as on real hardware without
 		// end-to-end checksums.
-		return false, nil
-	}
-	if err := w.extractPage(c.Page, keys, c.Corrupt); err != nil {
-		st.ReadFaults++
-		if errors.Is(err, store.ErrCorrupt) {
+		if c.Buf != nil {
+			c.Buf.Release()
+		}
+	default:
+		if err = w.extract(c, keys); errors.Is(err, store.ErrCorrupt) {
 			st.Corruptions++
 			e.Recovery.Corruptions.Inc()
 		}
-		return true, err
 	}
-	return false, nil
-}
-
-// extractRefs verifies every covered key's slot checksum directly in the
-// completion buffer and records a SlotRef payload view per key — no byte
-// of the payload is copied between the device read and the response
-// encoders. On success the buffer joins w.held, keeping it alive until the
-// worker's next lookup releases it (or longer, where a holder Retains). On
-// any failure the views are rolled back and the buffer released so the
-// whole page can be recovered elsewhere.
-func (w *Worker) extractRefs(c ssd.Completion, keys []Key) error {
-	e := w.eng
-	img := c.Buf.Bytes()
-	nSlots := len(e.cfg.Layout.Pages[c.Page])
-	if c.Corrupt {
-		// Injected in-flight corruption damages the buffer (never the
-		// store) so the checksum path detects it like real bit rot.
-		slot := 8 + 4*e.dim
-		for i := 0; i < nSlots; i++ {
-			img[i*slot+4] ^= 0xA5
-		}
+	if err != nil {
+		st.ReadFaults++
+		e.ValidPerRead.Add(0)
+		return err
 	}
-	mark := len(w.refOut)
-	for _, k := range keys {
-		off, found, err := store.VerifySlotInImage(img, e.dim, k, nSlots)
-		if err != nil || !found {
-			w.refOut = w.refOut[:mark]
-			c.Buf.Release()
-			if err == nil {
-				err = fmt.Errorf("page does not hold key %d", k)
-			}
-			return fmt.Errorf("serving: extract key %d from page %d: %w", k, c.Page, err)
-		}
-		end := off + 4*e.dim
-		w.refOut = append(w.refOut, refExtracted{
-			key: k,
-			ref: SlotRef{buf: c.Buf, payload: img[off:end:end]},
-		})
-	}
-	w.held = append(w.held, c.Buf)
+	e.ValidPerRead.Add(len(keys))
 	return nil
 }
 
-// releaseHeld drops the worker's references on the previous lookup's
-// completion buffers. Refs returned in that lookup's Result become invalid
-// unless their holder Retained them — the same lifetime the Result's other
-// slices have.
-func (w *Worker) releaseHeld() {
-	for i, b := range w.held {
-		b.Release()
-		w.held[i] = nil
-	}
-	w.held = w.held[:0]
-}
-
-// extractPage reads page p's image into the worker's buffer, applies
-// injected corruption when the completion was flagged, and decodes every
-// key in keys with checksum verification. On any failure the arena and
-// output are rolled back so the whole page can be recovered elsewhere.
-func (w *Worker) extractPage(p layout.PageID, keys []Key, corrupt bool) error {
-	e := w.eng
-	if err := e.cfg.Store.ReadPage(p, w.pageBuf); err != nil {
-		return fmt.Errorf("serving: page %d payload: %w", p, err)
-	}
-	nSlots := len(e.cfg.Layout.Pages[p])
-	if corrupt {
-		// The device flagged this read's payload as corrupted in flight.
-		// Damage the host buffer (never the store) so the checksum path
-		// detects it exactly as it would real bit rot.
-		slot := 8 + 4*e.dim
-		for i := 0; i < nSlots; i++ {
-			w.pageBuf[i*slot+4] ^= 0xA5
+// extract appends a verified view per key of page c.Page to the worker's
+// output (see Engine.pageViews) and keeps the image the views point into
+// alive until the next lookup: the completion's buffer joins w.held, a read
+// that came without one is given the next worker-owned page buffer. On
+// failure nothing is appended and the image is let go.
+func (w *Worker) extract(c ssd.Completion, keys []Key) error {
+	var img []byte
+	if c.Buf == nil {
+		if w.pagesUsed == len(w.pageBufs) {
+			w.pageBufs = append(w.pageBufs, make([]byte, w.eng.cfg.Store.PageSize()))
 		}
+		img = w.pageBufs[w.pagesUsed]
 	}
-	arenaMark, outMark := len(w.vecArena), len(w.out)
-	for _, k := range keys {
-		off := len(w.vecArena)
-		var ok bool
-		var err error
-		w.vecArena, ok, err = store.ExtractFromImage(w.pageBuf, e.dim, k, nSlots, w.vecArena)
-		if err != nil || !ok {
-			w.vecArena = w.vecArena[:arenaMark]
-			w.out = w.out[:outMark]
-			if err == nil {
-				err = fmt.Errorf("page does not hold key %d", k)
-			}
-			return fmt.Errorf("serving: extract key %d from page %d: %w", k, p, err)
+	refs, err := w.eng.pageViews(c, img, keys, w.refs)
+	if err != nil {
+		if c.Buf != nil {
+			c.Buf.Release()
 		}
-		w.out = append(w.out, extracted{key: k, off: off})
+		return err
+	}
+	w.refs = refs
+	w.keys = append(w.keys, keys...)
+	if c.Buf != nil {
+		w.held = append(w.held, c.Buf)
+	} else {
+		w.pagesUsed++
 	}
 	return nil
 }
@@ -1145,24 +1152,16 @@ func (e *Engine) backoffDelay(attempt int) int64 {
 	for i := 0; i < attempt && d < int64(e.cfg.RetryBackoffCap); i++ {
 		d *= 2
 	}
-	if cap := int64(e.cfg.RetryBackoffCap); d > cap {
-		d = cap
-	}
-	return d
-}
-
-// recoveryGroup batches keys of one failure that share a recovery target
-// page.
-type recoveryGroup struct {
-	page layout.PageID
-	keys []Key
+	return min(d, int64(e.cfg.RetryBackoffCap))
 }
 
 // recover drains the worker's failure queue: each failed page's keys are
 // re-fetched after a capped exponential backoff, preferring an alternate
 // replica page from the index over re-reading the page that just failed.
-// Chains that exhaust MaxRetries, and queries that exhaust RetryBudget,
-// give their keys up to failedKeys. Returns the advanced clock.
+// Chains that exhaust MaxRetries, and queries that exhaust RetryBudget or
+// whose request was abandoned, give their keys up to failedKeys. Last, the
+// keys reroute left without a live replica are read through from the host
+// store. Returns the advanced clock.
 func (w *Worker) recover(st *QueryStats, t int64) int64 {
 	e := w.eng
 	start := t
@@ -1170,70 +1169,16 @@ func (w *Worker) recover(st *QueryStats, t int64) int64 {
 	// The queue grows as recovery reads themselves fail; index-iterate.
 	for qi := 0; qi < len(w.failures); qi++ {
 		f := w.failures[qi]
-		if f.attempt >= e.maxRetries || spent >= e.cfg.RetryBudget {
-			w.failedKeys = append(w.failedKeys, f.keys...)
-			continue
-		}
-		if w.ctx != nil && w.ctx.Err() != nil {
-			// The request was abandoned: degrade the rest of the queue
-			// instead of spending retries nobody is waiting for.
+		if f.attempt >= e.maxRetries || spent >= e.cfg.RetryBudget ||
+			(w.ctx != nil && w.ctx.Err() != nil) {
 			w.failedKeys = append(w.failedKeys, f.keys...)
 			continue
 		}
 		issueAt := t + e.backoffDelay(f.attempt)
-
-		// Pick each key's recovery target: the first candidate page not
-		// already tried in this chain — on a multi-device backend,
-		// preferring a candidate on a different shard than the page that
-		// just failed, so shard-diverse replicas route around a whole
-		// faulty drive. Keys with no alternate replica re-read the failed
-		// page. Grouping preserves key order so the schedule is
-		// deterministic; with one shard the pick is unchanged.
-		failShard, _ := e.be.ShardOf(f.page)
-		var groups []recoveryGroup
+		var groups []pageKeys
 		for _, k := range f.keys {
-			target := f.page
-			if e.numShards > 1 {
-				for _, cand := range e.idx.Candidates(k) {
-					if cand == f.page || containsPage(f.tried, cand) {
-						continue
-					}
-					cs, _ := e.be.ShardOf(cand)
-					if e.health != nil && !e.health.ShardState(cs).Live() {
-						continue // never retry into a declared-dead shard
-					}
-					if cs != failShard {
-						target = cand
-						break
-					}
-				}
-			}
-			if target == f.page {
-				for _, cand := range e.idx.Candidates(k) {
-					if cand == f.page || containsPage(f.tried, cand) {
-						continue
-					}
-					if cs, _ := e.be.ShardOf(cand); e.health != nil && !e.health.ShardState(cs).Live() {
-						continue
-					}
-					target = cand
-					break
-				}
-			}
-			gi := -1
-			for i := range groups {
-				if groups[i].page == target {
-					gi = i
-					break
-				}
-			}
-			if gi < 0 {
-				groups = append(groups, recoveryGroup{page: target})
-				gi = len(groups) - 1
-			}
-			groups[gi].keys = append(groups[gi].keys, k)
+			groups = addToPage(groups, w.recoveryTarget(k, &f), k)
 		}
-
 		submitted := groups[:0]
 		for _, g := range groups {
 			if spent >= e.cfg.RetryBudget {
@@ -1250,18 +1195,10 @@ func (w *Worker) recover(st *QueryStats, t int64) int64 {
 			continue
 		}
 		done, comps := w.q.Drain(issueAt)
-		if done > t {
-			t = done
-		}
-		clear(w.compMap)
-		for _, c := range comps {
-			w.compMap[c.Page] = c
-		}
+		t = max(t, done)
+		w.indexCompletions(comps)
 		for _, g := range submitted {
-			c := w.compMap[g.page]
-			fail, cause := w.consume(st, c, g.keys)
-			if fail {
-				e.ValidPerRead.Add(0)
+			if cause := w.consume(st, w.compMap[g.page], g.keys); cause != nil {
 				tried := append(append([]layout.PageID(nil), f.tried...), f.page)
 				w.failures = append(w.failures, pageFailure{
 					page: g.page, keys: g.keys, attempt: f.attempt + 1,
@@ -1269,9 +1206,6 @@ func (w *Worker) recover(st *QueryStats, t int64) int64 {
 				})
 				continue
 			}
-			// A successful recovery read is a page read like any other:
-			// it enters the histogram with the keys it served.
-			e.ValidPerRead.Add(len(g.keys))
 			e.Recovery.RecoveredKeys.Add(int64(len(g.keys)))
 			if g.page != f.page {
 				st.ReplicaRescues += len(g.keys)
@@ -1281,172 +1215,117 @@ func (w *Worker) recover(st *QueryStats, t int64) int64 {
 	}
 	w.failures = w.failures[:0]
 	st.RecoveryNS = t - start
-	return t
+	st.UsefulFromSSD = len(w.coveredFlat) - len(w.failedKeys)
+	return w.serveFromStore(st, t)
 }
 
-// LookupCtx is Lookup with cancellation: when ctx is cancelled, the
-// recovery retry loop stops immediately and any keys still pending
-// recovery degrade to FailedKeys instead of burning further retries and
-// queue slots — the serving path for requests whose HTTP client has gone
-// away. The initial read wave is not interrupted (it is a single
-// submit/drain on the virtual clock); cancellation takes effect at retry
-// boundaries, where the real time is spent under faults.
-func (w *Worker) LookupCtx(ctx context.Context, query []Key) (Result, error) {
-	w.ctx = ctx
-	defer func() { w.ctx = nil }()
-	return w.Lookup(query)
-}
-
-// reroutePlan runs between selection and submission on health-reporting
-// backends: pages planned on failed or rebuilding shards are replaced by
-// replica candidates on live shards before any read is issued, so a
-// declared-dead drive costs zero wasted reads per query instead of one
-// fault-plus-recovery per touched page. Keys with no live replica are set
-// aside for host-store read-through (serveFromStore). The plan and its
-// covered-keys arena are rebuilt into fresh scratch and swapped — never
-// appended to in place — so per-key accounting (UsefulFromSSD, batch
-// scatter) keeps seeing each key exactly once.
-func (w *Worker) reroutePlan(st *QueryStats) {
+// recoveryTarget picks where key k of failed read f is fetched next: the
+// first candidate page not already tried in this chain and not on a
+// declared-dead shard — preferring, on a multi-device backend, one on a
+// different shard than the page that just failed, so shard-diverse
+// replicas route around a whole faulty drive. A key with no such replica
+// re-reads the failed page.
+func (w *Worker) recoveryTarget(k Key, f *pageFailure) layout.PageID {
 	e := w.eng
-	w.fbKeys = w.fbKeys[:0]
-	if e.health == nil || len(w.plan) == 0 {
-		return
-	}
-	anyDead := false
-	for _, pe := range w.plan {
-		s, _ := e.be.ShardOf(pe.page)
-		if !e.health.ShardState(s).Live() {
-			anyDead = true
-			break
-		}
-	}
-	if !anyDead {
-		return
-	}
-
-	var extra []recoveryGroup
-	w.plan2 = w.plan2[:0]
-	w.flat2 = w.flat2[:0]
-	for _, pe := range w.plan {
-		keys := w.coveredFlat[pe.from:pe.to]
-		if s, _ := e.be.ShardOf(pe.page); e.health.ShardState(s).Live() {
-			pe.from = len(w.flat2)
-			w.flat2 = append(w.flat2, keys...)
-			pe.to = len(w.flat2)
-			w.plan2 = append(w.plan2, pe)
-			continue
-		}
-		for _, k := range keys {
-			target, ok := w.liveCandidate(k, pe.page, extra)
-			if !ok {
-				w.fbKeys = append(w.fbKeys, k)
-				continue
-			}
-			gi := -1
-			for i := range extra {
-				if extra[i].page == target {
-					gi = i
-					break
-				}
-			}
-			if gi < 0 {
-				extra = append(extra, recoveryGroup{page: target})
-				gi = len(extra) - 1
-			}
-			extra[gi].keys = append(extra[gi].keys, k)
-		}
-	}
-	rerouted := 0
-	for _, g := range extra {
-		from := len(w.flat2)
-		w.flat2 = append(w.flat2, g.keys...)
-		w.plan2 = append(w.plan2, planEntry{
-			page: g.page, from: from, to: len(w.flat2),
-			// The reroute's own cost is one extra submit per target page;
-			// the original entries' selection cost was already charged.
-			selectCost: e.costs.Submit(),
-		})
-		rerouted += len(g.keys)
-	}
-	st.ShardReroutes = rerouted
-	e.Recovery.ShardReroutes.Add(int64(rerouted))
-	w.plan, w.plan2 = w.plan2, w.plan
-	w.coveredFlat, w.flat2 = w.flat2, w.coveredFlat
-}
-
-// liveCandidate picks key k's reroute target: a candidate page on a live
-// shard, preferring one this reroute is already reading (so shared pages
-// cost one read, not one per key), excluding the dead page being replaced.
-func (w *Worker) liveCandidate(k Key, avoid layout.PageID, extra []recoveryGroup) (layout.PageID, bool) {
-	e := w.eng
-	var first layout.PageID
-	found := false
+	failShard, _ := e.be.ShardOf(f.page)
+	target := f.page
 	for _, cand := range e.idx.Candidates(k) {
-		if cand == avoid {
+		if cand == f.page || slices.Contains(f.tried, cand) || !e.pageLive(cand) {
 			continue
 		}
-		if s, _ := e.be.ShardOf(cand); !e.health.ShardState(s).Live() {
-			continue
+		if cs, _ := e.be.ShardOf(cand); cs != failShard {
+			return cand
 		}
-		for i := range extra {
-			if extra[i].page == cand {
-				return cand, true
-			}
-		}
-		if !found {
-			first, found = cand, true
+		if target == f.page {
+			target = cand
 		}
 	}
-	return first, found
+	return target
 }
 
-// serveFromStore serves the keys reroutePlan found no live replica for by
-// reading their home pages from the host's store image — the pristine
-// copy the offline build left behind. No device read is charged (the data
-// never touches the dead drive); the work is host software time, counted
-// with the extract cost. Keys the store cannot produce (timing-only
-// engines, or a corrupt host image) degrade to FailedKeys.
+// serveFromStore serves the keys reroute found no live replica for from
+// their home pages in the host's store image — the pristine copy the
+// offline build left behind — one read per home page, through the same
+// extractor as a device read. No device read is charged (the data never
+// touches the dead drive); the work is host software time, counted with the
+// extract cost. Keys the store cannot produce (timing-only engines, or a
+// home page with a corrupt host image) degrade to FailedKeys.
 func (w *Worker) serveFromStore(st *QueryStats, t int64) int64 {
 	e := w.eng
+	if len(w.fbKeys) == 0 {
+		return t
+	}
 	if e.cfg.Store == nil {
 		w.failedKeys = append(w.failedKeys, w.fbKeys...)
 		return t
 	}
-	served := 0
-	lay := e.cfg.Layout
+	var homes []pageKeys
 	for _, k := range w.fbKeys {
-		p := lay.Home[k]
-		if err := e.cfg.Store.ReadPage(p, w.pageBuf); err != nil {
-			w.failedKeys = append(w.failedKeys, k)
-			continue
-		}
-		off := len(w.vecArena)
-		var ok bool
-		var err error
-		w.vecArena, ok, err = store.ExtractFromImage(w.pageBuf, e.dim, k, len(lay.Pages[p]), w.vecArena)
-		if err != nil || !ok {
-			w.vecArena = w.vecArena[:off]
-			w.failedKeys = append(w.failedKeys, k)
-			continue
-		}
-		w.out = append(w.out, extracted{key: k, off: off})
-		served++
+		homes = addToPage(homes, e.cfg.Layout.Home[k], k)
 	}
-	st.StoreFallbacks = served
-	e.Recovery.StoreFallbacks.Add(int64(served))
-	// The host-side page read and decode costs software time over and
-	// above the shared extract pass these vectors also go through.
-	c := e.costs.Extract(served)
+	for _, g := range homes {
+		if err := w.extract(ssd.Completion{Page: g.page}, g.keys); err != nil {
+			w.failedKeys = append(w.failedKeys, g.keys...)
+			continue
+		}
+		st.StoreFallbacks += len(g.keys)
+	}
+	e.Recovery.StoreFallbacks.Add(int64(st.StoreFallbacks))
+	// The host-side page read costs software time over and above the
+	// shared extract pass these keys also go through.
+	c := e.costs.Extract(st.StoreFallbacks)
 	st.OtherSoftNS += c
 	return t + c
 }
 
-// containsPage reports whether pages contains p.
-func containsPage(pages []layout.PageID, p layout.PageID) bool {
-	for _, q := range pages {
-		if q == p {
-			return true
+// assemble closes the pass: it charges the extract cost of the keys read
+// from page images, fills the cache with them — each payload copied
+// straight into the storage the previous fill displaced — and appends the
+// probe's hits, so that w.keys/w.refs, which the Result aliases, cover
+// every served key: page-served first, in read order, then DRAM hits.
+// Degradation counters are the caller's (see finish): Lookup counts one
+// degraded query, LookupBatch attributes failed keys to each owning query.
+func (w *Worker) assemble(st *QueryStats, t int64) Result {
+	e := w.eng
+	extract := e.costs.Extract(len(w.keys))
+	t += extract
+	st.OtherSoftNS += extract
+	switch {
+	case e.cache == nil:
+	case e.cfg.Store != nil:
+		var spare []byte // cache storage the last miss-fill displaced
+		for i, k := range w.keys {
+			spare, _ = e.cache.Put(k, append(e.vecs.Get(spare), w.refs[i].Payload...))
+		}
+		e.vecs.Put(spare)
+	default:
+		// Timing-only: placeholders for the keys whose reads succeeded.
+		// Selection is over, so seen is free to mark the failed keys.
+		clear(w.seen)
+		for _, k := range w.failedKeys {
+			w.seen[k] = true
+		}
+		for _, k := range w.coveredFlat {
+			if !w.seen[k] {
+				e.cache.Put(k, nil)
+			}
 		}
 	}
-	return false
+	// Hit i sits i payloads into the arena (timing-only: 0 bytes wide).
+	width := 4 * e.dim
+	w.keys = append(w.keys, w.hitKeys...)
+	for i := range w.hitKeys {
+		w.refs = append(w.refs, SlotRef{Payload: w.arena[i*width : (i+1)*width : (i+1)*width]})
+	}
+	res := Result{Keys: w.keys, Refs: w.refs}
+	if len(w.failedKeys) > 0 {
+		st.FailedKeys = len(w.failedKeys)
+		st.Degraded = true
+		res.FailedKeys = w.failedKeys
+	}
+	w.foldQueuePeaks()
+	st.EndNS = t
+	w.now = t
+	res.Stats = *st
+	return res
 }

@@ -86,7 +86,7 @@ func TestFaultRecoveryTable(t *testing.T) {
 				}
 				want := f.syn.Vector(k, nil)
 				for j := range want {
-					if res.Vectors[0][j] != want[j] {
+					if res.Refs[0].Float32(j) != want[j] {
 						t.Fatal("rescued vector is wrong")
 					}
 				}
@@ -188,7 +188,7 @@ func TestMultiKeyPartialResult(t *testing.T) {
 	for i, k := range res.Keys {
 		want = f.syn.Vector(k, want[:0])
 		for j := range want {
-			if res.Vectors[i][j] != want[j] {
+			if res.Refs[i].Float32(j) != want[j] {
 				t.Fatalf("healthy key %d has wrong vector in partial result", k)
 			}
 		}
@@ -290,7 +290,7 @@ func TestRecoveryUnderInjectedErrors(t *testing.T) {
 		for i, k := range res.Keys {
 			want = f.syn.Vector(k, want[:0])
 			for j := range want {
-				if res.Vectors[i][j] != want[j] {
+				if res.Refs[i].Float32(j) != want[j] {
 					t.Fatalf("query %d key %d: wrong vector under fault injection", qi, k)
 				}
 			}

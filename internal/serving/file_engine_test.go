@@ -22,8 +22,15 @@ func (f *fixture) fileBackend(t *testing.T, shards int, cfg ssd.FileBackendConfi
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fileBackendOver(t, sh, cfg), sh
+}
+
+// fileBackendOver writes sh's shards, as they are now, to files and opens a
+// real-I/O backend over them.
+func fileBackendOver(t *testing.T, sh *store.Sharded, cfg ssd.FileBackendConfig) *ssd.FileBackend {
+	t.Helper()
 	dir := t.TempDir()
-	files := make([]*store.FileStore, shards)
+	files := make([]*store.FileStore, sh.NumShards())
 	for i := range files {
 		path := filepath.Join(dir, fmt.Sprintf("shard%03d.bin", i))
 		fl, err := os.Create(path)
@@ -47,7 +54,7 @@ func (f *fixture) fileBackend(t *testing.T, shards int, cfg ssd.FileBackendConfi
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fb.Close() })
-	return fb, sh
+	return fb
 }
 
 func (f *fixture) fileEngine(t *testing.T, shards int, mutate func(*Config)) (*Engine, *ssd.FileBackend) {
@@ -70,9 +77,8 @@ func (f *fixture) fileEngine(t *testing.T, shards int, mutate func(*Config)) (*E
 }
 
 // TestFileBackendLookupMatchesStore drives the serving engine over real
-// file I/O and verifies every returned embedding — through the zero-copy
-// ref views, never the value path — against the synthesizer's ground
-// truth.
+// file I/O and verifies every returned embedding — a view pinned in a
+// completion buffer — against the synthesizer's ground truth.
 func TestFileBackendLookupMatchesStore(t *testing.T) {
 	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
 	for _, shards := range []int{1, 3} {
@@ -94,8 +100,8 @@ func TestFileBackendLookupMatchesStore(t *testing.T) {
 			}
 			for i, k := range res.Keys {
 				ref := res.Refs[i]
-				if !ref.Valid() {
-					t.Fatalf("shards=%d query %d key %d: no ref on a cacheless file engine", shards, qi, k)
+				if !ref.Pinned() {
+					t.Fatalf("shards=%d query %d key %d: view not in a completion buffer on a cacheless file engine", shards, qi, k)
 				}
 				if ref.Dim() != testDim {
 					t.Fatalf("ref dim = %d, want %d", ref.Dim(), testDim)
@@ -118,25 +124,18 @@ func TestFileBackendLookupMatchesStore(t *testing.T) {
 	}
 }
 
-// resultVector decodes entry i of res through whichever of the two places
-// holds it; an entry in both or in neither is an error.
+// resultVector decodes entry i of res, which must be a full-width view.
 func resultVector(res Result, i int, dst []float32) ([]float32, error) {
-	ref, v := res.Refs[i], res.Vectors[i]
-	switch {
-	case ref.Valid() && v != nil:
-		return nil, fmt.Errorf("key %d: both a ref and a vector", res.Keys[i])
-	case ref.Valid():
-		return ref.AppendVector(dst), nil
-	case len(v) != testDim:
-		return nil, fmt.Errorf("key %d: no ref and a vector of len %d", res.Keys[i], len(v))
+	if d := res.Refs[i].Dim(); d != testDim {
+		return nil, fmt.Errorf("key %d: a view of dim %d", res.Keys[i], d)
 	}
-	return append(dst, v...), nil
+	return res.AppendVector(i, dst), nil
 }
 
-// TestFileBackendLookupWithCache checks the one ref/vector contract holds
-// with a DRAM cache: a key read from a shard file comes back as a ref with
-// a nil vector exactly as on a cacheless engine, a cache hit as a worker-
-// owned vector with a zero ref, and both carry the source table's bytes.
+// TestFileBackendLookupWithCache checks the one result contract holds with
+// a DRAM cache: a key read from a shard file comes back as a view pinned in
+// its completion buffer exactly as on a cacheless engine, a cache hit as a
+// view of worker memory, and both carry the source table's bytes.
 func TestFileBackendLookupWithCache(t *testing.T) {
 	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
 	e, _ := f.fileEngine(t, 2, func(c *Config) { c.CacheEntries = f.trace.NumItems / 4 })
@@ -157,14 +156,14 @@ func TestFileBackendLookupWithCache(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("query %d key %d: wrong vector", qi, k)
 			}
-			if res.Refs[i].Valid() {
+			if res.Refs[i].Pinned() {
 				sawRef = true
 			} else {
 				hits++
 			}
 		}
 		if hits != res.Stats.CacheHits {
-			t.Fatalf("query %d: %d value-backed entries, %d cache hits", qi, hits, res.Stats.CacheHits)
+			t.Fatalf("query %d: %d unpinned entries, %d cache hits", qi, hits, res.Stats.CacheHits)
 		}
 		sawHit = sawHit || hits > 0
 	}
@@ -173,11 +172,11 @@ func TestFileBackendLookupWithCache(t *testing.T) {
 	}
 }
 
-// TestFileBackendRetainAcrossLookups pins one result's refs past the
+// TestFileBackendHoldAcrossLookups holds one result's views past the
 // worker's next lookups — the server's concurrent-encoder pattern — and
-// verifies the retained views stay intact while unretained buffers
-// recycle underneath.
-func TestFileBackendRetainAcrossLookups(t *testing.T) {
+// verifies the held views stay intact while the other buffers recycle
+// underneath.
+func TestFileBackendHoldAcrossLookups(t *testing.T) {
 	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
 	e, _ := f.fileEngine(t, 1, nil)
 	w := e.NewWorker()
@@ -185,13 +184,17 @@ func TestFileBackendRetainAcrossLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin the buffers AND copy the ref values out: Result.Refs itself is
-	// worker scratch whose SlotRef structs the next lookup overwrites in
-	// place, so a holder keeps its own copies (as the server's response
-	// leases do).
-	res.RetainRefs()
+	// Hold returns the holder's own SlotRef: Result.Refs itself is worker
+	// scratch whose entries the next lookup overwrites in place (the
+	// server's response leases hold the same way).
 	keys := append([]Key(nil), res.Keys...)
-	refs := append([]SlotRef(nil), res.Refs...)
+	refs := make([]SlotRef, len(res.Refs))
+	for i, r := range res.Refs {
+		if !r.Pinned() {
+			t.Fatalf("key %d: view not in a completion buffer", keys[i])
+		}
+		refs[i], _ = r.Hold(nil)
+	}
 	for qi := 1; qi < 80; qi++ {
 		if _, err := w.Lookup(f.trace.Queries[qi]); err != nil {
 			t.Fatal(err)
@@ -202,7 +205,7 @@ func TestFileBackendRetainAcrossLookups(t *testing.T) {
 		want = f.syn.Vector(k, want[:0])
 		for j := range want {
 			if got := refs[i].Float32(j); got != want[j] {
-				t.Fatalf("retained ref for key %d changed under buffer recycling", k)
+				t.Fatalf("held view of key %d changed under buffer recycling", k)
 			}
 		}
 	}
@@ -228,8 +231,8 @@ func TestFileBackendBatchRefs(t *testing.T) {
 				t.Fatalf("batch %d query %d: %d refs for %d keys", from, qi, len(r.Refs), len(r.Keys))
 			}
 			for i, k := range r.Keys {
-				if !r.Refs[i].Valid() {
-					t.Fatalf("batch %d query %d key %d: invalid ref", from, qi, k)
+				if !r.Refs[i].Pinned() {
+					t.Fatalf("batch %d query %d key %d: view not in a completion buffer", from, qi, k)
 				}
 				want = f.syn.Vector(k, want[:0])
 				for j := range want {
@@ -243,26 +246,38 @@ func TestFileBackendBatchRefs(t *testing.T) {
 }
 
 // zeroAllocCases are the engines the steady-state allocation guards cover:
-// the cacheless zero-copy path, and a cache of a tenth of the keys, small
-// enough that every measured lookup probes, misses, evicts and refills.
+// both backends — they run the same read path — each cacheless and with a
+// cache of a tenth of the keys, small enough that every measured lookup
+// probes, misses, evicts and refills.
 var zeroAllocCases = []struct {
 	name       string
+	file       bool
 	cacheShare float64 // of the key count
 }{
-	{"cacheless", 0},
-	{"cached", 0.1},
+	{"file/cacheless", true, 0},
+	{"file/cached", true, 0.1},
+	{"sim/cacheless", false, 0},
+	{"sim/cached", false, 0.1},
 }
 
-func (f *fixture) cacheOf(share float64) func(*Config) {
-	return func(c *Config) { c.CacheEntries = int(share * float64(f.trace.NumItems)) }
-}
-
-// guardZeroAllocs warms lookup, then requires that it allocates nothing at
-// all — and, with a cache, that the measured calls were evicting.
-func guardZeroAllocs(t *testing.T, e *Engine, warm, runs int, lookup func(i int)) {
+// guardZeroAllocs builds the case's engine, warms lookup on one worker, then
+// requires that it allocates nothing at all — and, with a cache, that the
+// measured calls were evicting.
+func guardZeroAllocs(t *testing.T, file bool, cacheShare float64, warm, runs int, lookup func(w *Worker, qs [][]Key, i int) error) {
 	t.Helper()
+	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
+	withCache := func(c *Config) { c.CacheEntries = int(cacheShare * float64(f.trace.NumItems)) }
+	var e *Engine
+	if file {
+		e, _ = f.fileEngine(t, 2, withCache)
+	} else {
+		e = f.engine(t, withCache)
+	}
+	w := e.NewWorker()
 	for i := 0; i < warm; i++ {
-		lookup(i)
+		if err := lookup(w, f.trace.Queries, i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Latency samples append into a slice that grows across the run; the
 	// warmup above grew it past what the measured runs add, and Reset
@@ -275,7 +290,9 @@ func guardZeroAllocs(t *testing.T, e *Engine, warm, runs int, lookup func(i int)
 	i := warm
 	allocs := testing.AllocsPerRun(runs, func() {
 		i++
-		lookup(i)
+		if err := lookup(w, f.trace.Queries, i); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state allocs/op = %.1f, want 0", allocs)
@@ -286,23 +303,18 @@ func guardZeroAllocs(t *testing.T, e *Engine, warm, runs int, lookup func(i int)
 	}
 }
 
-// TestFileBackendLookupZeroAllocs is the allocation guard of the real-I/O
-// read path: once warm, a lookup — probe, selection, submit, drain,
-// in-place checksum verification, ref assembly, miss-fill into recycled
-// cache storage, accounting — must allocate nothing at all, with or
+// TestFileBackendLookupZeroAllocs is the allocation guard of the read path:
+// once warm, a lookup — probe, selection, submit, drain, in-place checksum
+// verification, view assembly, miss-fill into recycled cache storage,
+// accounting — must allocate nothing at all, on either backend, with or
 // without a DRAM cache. Any regression here reintroduces per-key or
 // per-page garbage on the hot path.
 func TestFileBackendLookupZeroAllocs(t *testing.T) {
 	for _, tc := range zeroAllocCases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
-			e, _ := f.fileEngine(t, 2, f.cacheOf(tc.cacheShare))
-			w := e.NewWorker()
-			qs := f.trace.Queries
-			guardZeroAllocs(t, e, 700, 500, func(i int) {
-				if _, err := w.Lookup(qs[i%len(qs)]); err != nil {
-					t.Fatal(err)
-				}
+			guardZeroAllocs(t, tc.file, tc.cacheShare, 700, 500, func(w *Worker, qs [][]Key, i int) error {
+				_, err := w.Lookup(qs[i%len(qs)])
+				return err
 			})
 		})
 	}
@@ -313,16 +325,11 @@ func TestFileBackendLookupZeroAllocs(t *testing.T) {
 func TestFileBackendBatchZeroAllocs(t *testing.T) {
 	for _, tc := range zeroAllocCases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
-			e, _ := f.fileEngine(t, 2, f.cacheOf(tc.cacheShare))
-			w := e.NewWorker()
-			qs := f.trace.Queries
 			const batch = 6
-			guardZeroAllocs(t, e, 200, 300, func(i int) {
+			guardZeroAllocs(t, tc.file, tc.cacheShare, 200, 300, func(w *Worker, qs [][]Key, i int) error {
 				from := (i * batch) % (len(qs) - batch)
-				if _, err := w.LookupBatch(qs[from : from+batch]); err != nil {
-					t.Fatal(err)
-				}
+				_, err := w.LookupBatch(qs[from : from+batch])
+				return err
 			})
 		})
 	}

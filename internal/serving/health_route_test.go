@@ -37,7 +37,7 @@ func TestSelectionAvoidsFailedShard(t *testing.T) {
 		}
 		want = syn.Vector(Key(k), want[:0])
 		for j := range want {
-			if res.Vectors[0][j] != want[j] {
+			if res.Refs[0].Float32(j) != want[j] {
 				t.Fatalf("key %d: wrong vector via reroute", k)
 			}
 		}
@@ -110,7 +110,7 @@ func TestReroutePlanSplitsDeadPage(t *testing.T) {
 	for i, k := range res.Keys {
 		want = syn.Vector(k, want[:0])
 		for j := range want {
-			if res.Vectors[i][j] != want[j] {
+			if res.Refs[i].Float32(j) != want[j] {
 				t.Fatalf("key %d: wrong vector after reroute", k)
 			}
 		}
@@ -160,7 +160,7 @@ func TestStoreFallbackServesUnreplicatedKeys(t *testing.T) {
 	for i, k := range res.Keys {
 		want = syn.Vector(k, want[:0])
 		for j := range want {
-			if res.Vectors[i][j] != want[j] {
+			if res.Refs[i].Float32(j) != want[j] {
 				t.Fatalf("key %d: wrong vector", k)
 			}
 		}

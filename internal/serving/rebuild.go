@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"maxembed/internal/layout"
 	"maxembed/internal/ssd"
@@ -199,7 +200,7 @@ func readReplicas(e *Engine, arr *ssd.Array, failed int, g layout.PageID, t, int
 		if !ok {
 			return t, false
 		}
-		if !containsPage(donors, found) {
+		if !slices.Contains(donors, found) {
 			donors = append(donors, found)
 		}
 	}

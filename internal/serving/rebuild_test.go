@@ -91,7 +91,7 @@ func TestRebuildShardFromReplicas(t *testing.T) {
 		}
 		want = syn.Vector(Key(k), want[:0])
 		for j := range want {
-			if res.Vectors[0][j] != want[j] {
+			if res.Refs[0].Float32(j) != want[j] {
 				t.Fatalf("key %d: wrong vector after rebuild", k)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 
 	"maxembed/internal/layout"
 	"maxembed/internal/metrics"
-	"maxembed/internal/store"
 )
 
 // RunResult aggregates one closed-loop serving run.
@@ -157,7 +156,7 @@ func finalizeRun(e *Engine, res *RunResult, ws []*Worker) {
 // WarmCache pre-populates the engine's cache by running the queries
 // through the cache admission path only (no timing, no device activity).
 // Used to reach steady-state hit rates before a measured run. When the
-// engine has a Store the cached vectors are real: uncached keys are
+// engine has a Store the cached payloads are real: uncached keys are
 // grouped by home page so each page image is read once per warm pass
 // (not once per key), and each distinct key is admitted once, in
 // first-appearance order, so the LRU state is deterministic.
@@ -167,23 +166,22 @@ func (e *Engine) WarmCache(queries [][]Key) error {
 	}
 	lay := e.cfg.Layout
 
-	// First pass: distinct uncached keys in first-appearance order, grouped
-	// by home page (as positions in ordered).
+	// First pass: distinct uncached keys in first-appearance order (seen
+	// maps each to its position in ordered), grouped by home page.
 	var ordered []Key
-	seen := make(map[Key]struct{})
-	byPage := make(map[layout.PageID][]int)
+	seen := make(map[Key]int)
+	byPage := make(map[layout.PageID][]Key)
 	for _, q := range queries {
 		for _, k := range q {
 			if _, dup := seen[k]; dup {
 				continue
 			}
-			seen[k] = struct{}{}
+			seen[k] = len(ordered)
 			if _, ok := e.cache.Get(k); ok {
 				continue
 			}
-			home := lay.Home[k]
-			byPage[home] = append(byPage[home], len(ordered))
 			ordered = append(ordered, k)
+			byPage[lay.Home[k]] = append(byPage[lay.Home[k]], k)
 		}
 	}
 	if e.cfg.Store == nil {
@@ -194,31 +192,20 @@ func (e *Engine) WarmCache(queries [][]Key) error {
 		return nil
 	}
 
-	// Second pass: one read per touched page, decoding every wanted key
-	// into its slot of one staging arena.
-	staged := make([]float32, len(ordered)*e.dim)
-	buf := make([]byte, e.cfg.Store.PageSize())
-	for home, at := range byPage {
-		if err := e.cfg.Store.ReadPage(home, buf); err != nil {
-			return fmt.Errorf("serving: warm cache page %d: %w", home, err)
-		}
-		nSlots := len(lay.Pages[home])
-		for _, i := range at {
-			k := ordered[i]
-			_, ok, err := store.ExtractFromImage(buf, e.dim, k, nSlots, staged[i*e.dim:i*e.dim])
-			if err != nil {
-				return fmt.Errorf("serving: warm cache key %d: %w", k, err)
-			}
-			if !ok {
-				return fmt.Errorf("serving: warm cache: home page %d missing key %d", home, k)
-			}
-		}
+	// Second pass: one read per touched page, each wanted key's payload
+	// copied to its position in one staging arena.
+	staged := make([]byte, len(ordered)*e.vecSize)
+	err := e.homePayloads(byPage, func(k Key, payload []byte) {
+		copy(staged[seen[k]*e.vecSize:], payload)
+	})
+	if err != nil {
+		return fmt.Errorf("serving: warm cache: %w", err)
 	}
 	// Admit through the lookup path's storage cycle, so a warm set larger
-	// than the cache costs no more vectors than the cache holds.
-	var spare []float32
+	// than the cache costs no more storage than the cache holds.
+	var spare []byte
 	for i, k := range ordered {
-		spare, _ = e.cache.Put(k, append(e.vecs.Get(spare), staged[i*e.dim:(i+1)*e.dim]...))
+		spare, _ = e.cache.Put(k, append(e.vecs.Get(spare), staged[i*e.vecSize:(i+1)*e.vecSize]...))
 	}
 	e.vecs.Put(spare)
 	e.cache.ResetStats()

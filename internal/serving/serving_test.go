@@ -103,7 +103,7 @@ func TestLookupReturnsCorrectVectors(t *testing.T) {
 				t.Fatalf("query %d returned key %d not in query", qi, k)
 			}
 			want = f.syn.Vector(k, want[:0])
-			got := res.Vectors[i]
+			got := res.AppendVector(i, nil)
 			if len(got) != testDim {
 				t.Fatalf("vector len = %d", len(got))
 			}
@@ -164,7 +164,7 @@ func TestCacheServesHitsWithoutSSD(t *testing.T) {
 	for i, k := range second.Keys {
 		want = f.syn.Vector(k, want[:0])
 		for j := range want {
-			if second.Vectors[i][j] != want[j] {
+			if second.Refs[i].Float32(j) != want[j] {
 				t.Fatalf("cached vector wrong for key %d", k)
 			}
 		}
@@ -291,7 +291,7 @@ func TestIndexLimitStillCorrect(t *testing.T) {
 		for i, k := range res.Keys {
 			want = f.syn.Vector(k, want[:0])
 			for j := range want {
-				if res.Vectors[i][j] != want[j] {
+				if res.Refs[i].Float32(j) != want[j] {
 					t.Fatalf("index-limited lookup returned wrong vector for key %d", k)
 				}
 			}
@@ -339,7 +339,7 @@ func TestWarmCache(t *testing.T) {
 	for i, k := range res.Keys {
 		want = f.syn.Vector(k, want[:0])
 		for j := range want {
-			if res.Vectors[i][j] != want[j] {
+			if res.Refs[i].Float32(j) != want[j] {
 				t.Fatalf("warmed cache returned wrong vector for key %d", k)
 			}
 		}
@@ -371,7 +371,7 @@ func TestUnsortedSelectionStillCorrect(t *testing.T) {
 		for i, k := range res.Keys {
 			want = f.syn.Vector(k, want[:0])
 			for j := range want {
-				if res.Vectors[i][j] != want[j] {
+				if res.Refs[i].Float32(j) != want[j] {
 					t.Fatalf("unsorted selection returned wrong vector for key %d", k)
 				}
 			}
@@ -410,7 +410,7 @@ func TestFileStoreServing(t *testing.T) {
 		for i, k := range res.Keys {
 			want = f.syn.Vector(k, want[:0])
 			for j := range want {
-				if res.Vectors[i][j] != want[j] {
+				if res.Refs[i].Float32(j) != want[j] {
 					t.Fatalf("file-backed lookup returned wrong vector for key %d", k)
 				}
 			}

@@ -74,8 +74,8 @@ func TestBackendOneShardMatchesDevice(t *testing.T) {
 			if rd.Keys[i] != ra.Keys[i] {
 				t.Fatalf("query %d key order diverges", qi)
 			}
-			for j := range rd.Vectors[i] {
-				if rd.Vectors[i][j] != ra.Vectors[i][j] {
+			for j := 0; j < rd.Refs[i].Dim(); j++ {
+				if rd.Refs[i].Float32(j) != ra.Refs[i].Float32(j) {
 					t.Fatalf("query %d vector diverges for key %d", qi, rd.Keys[i])
 				}
 			}
@@ -160,7 +160,7 @@ func TestShardFaultIsolation(t *testing.T) {
 		for i, k := range res.Keys {
 			want = syn.Vector(k, want[:0])
 			for j := range want {
-				if res.Vectors[i][j] != want[j] {
+				if res.Refs[i].Float32(j) != want[j] {
 					t.Fatalf("key %d: wrong vector after shard-0 rescue", k)
 				}
 			}

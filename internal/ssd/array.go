@@ -1,8 +1,9 @@
 package ssd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -471,16 +472,9 @@ func (m *MultiQueue) Drain(nowNS int64) (doneNS int64, comps []Completion) {
 			c.Page = m.be.GlobalOf(shard, c.Page)
 			m.merged = append(m.merged, c)
 		}
-		// The completions were just copied into merged, so the drained
-		// buffer can go back to the queue for its next submit cycle instead
-		// of every drain growing a fresh pending slice on every shard.
-		q.pending = cs[:0]
 	}
-	sort.Slice(m.merged, func(i, j int) bool {
-		if m.merged[i].CompleteNS != m.merged[j].CompleteNS {
-			return m.merged[i].CompleteNS < m.merged[j].CompleteNS
-		}
-		return m.merged[i].Page < m.merged[j].Page
+	slices.SortFunc(m.merged, func(a, b Completion) int {
+		return cmp.Or(cmp.Compare(a.CompleteNS, b.CompleteNS), cmp.Compare(a.Page, b.Page))
 	})
 	return doneNS, m.merged
 }

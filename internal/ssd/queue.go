@@ -1,6 +1,9 @@
 package ssd
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Completion records the outcome of one asynchronous page read.
 type Completion struct {
@@ -40,6 +43,7 @@ type Queue struct {
 	dev     *Device
 	depth   int
 	pending []Completion // all completions since the last Drain
+	drained []Completion // the previous Drain's result, recycled by the next
 	// inflight holds the completion times of commands not yet observed
 	// complete, as a binary min-heap.
 	inflight []int64
@@ -130,8 +134,9 @@ func (q *Queue) Submit(page PageID, nowNS int64) int64 {
 
 // Drain waits (virtually) for every command submitted since the last Drain
 // to complete and returns the resulting virtual time — at least nowNS —
-// along with all completions ordered by completion time. The queue is empty
-// afterwards.
+// along with all completions ordered by completion time (one device's bus
+// serializes transfers, so the times are distinct). The queue is empty
+// afterwards; the slice is reused by the Drain after next.
 func (q *Queue) Drain(nowNS int64) (doneNS int64, comps []Completion) {
 	doneNS = nowNS
 	for _, c := range q.pending {
@@ -140,8 +145,8 @@ func (q *Queue) Drain(nowNS int64) (doneNS int64, comps []Completion) {
 		}
 	}
 	comps = q.pending
-	q.pending = nil
+	q.pending, q.drained = q.drained[:0], comps
 	q.inflight = q.inflight[:0]
-	sort.Slice(comps, func(i, j int) bool { return comps[i].CompleteNS < comps[j].CompleteNS })
+	slices.SortFunc(comps, func(a, b Completion) int { return cmp.Compare(a.CompleteNS, b.CompleteNS) })
 	return doneNS, comps
 }

@@ -28,7 +28,9 @@ func TestFileBackendRingLifetime(t *testing.T) {
 	fdsBefore := countFDs(t)
 	goroutinesBefore := runtime.NumGoroutine()
 	fb := ringBackendOrSkip(t, paths, FileBackendConfig{})
-	if n := runtime.NumGoroutine(); n != goroutinesBefore {
+	// More, not different: under -race a goroutine of the test runtime may
+	// exit between the two counts.
+	if n := runtime.NumGoroutine(); n > goroutinesBefore {
 		t.Errorf("io_uring backend over 4 shards started %d goroutines", n-goroutinesBefore)
 	}
 	func() {

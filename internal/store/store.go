@@ -34,41 +34,13 @@ func slotChecksum(keyHdr, vec []byte) uint32 {
 	return crc32.Update(crc32.Checksum(keyHdr, castagnoli), castagnoli, vec)
 }
 
-// ExtractFromImage scans the first nSlots slots of a page image for key k
-// and appends its vector to dst. The second result reports whether the key
-// was found; a found slot whose checksum does not verify returns an
-// ErrCorrupt-wrapped error. Pass nSlots < 0 to scan every slot that fits.
-func ExtractFromImage(img []byte, dim int, k layout.Key, nSlots int, dst []float32) ([]float32, bool, error) {
-	slot := embedding.SlotSize(dim)
-	max := len(img) / slot
-	if nSlots < 0 || nSlots > max {
-		nSlots = max
-	}
-	for i := 0; i < nSlots; i++ {
-		off := i * slot
-		if binary.LittleEndian.Uint32(img[off:]) != k {
-			continue
-		}
-		want := binary.LittleEndian.Uint32(img[off+4:])
-		if got := slotChecksum(img[off:off+4], img[off+8:off+slot]); got != want {
-			return dst, true, fmt.Errorf("%w: key %d slot %d (stored %08x, computed %08x)",
-				ErrCorrupt, k, i, want, got)
-		}
-		var err error
-		dst, err = embedding.DecodeVector(img[off+8:off+slot], dim, dst)
-		return dst, err == nil, err
-	}
-	return dst, false, nil
-}
-
 // VerifySlotInImage scans the first nSlots slots of a page image for key k
 // and verifies the matching slot's checksum in place, returning the byte
 // offset of the slot's vector payload within img (payload length is
-// 4×dim). It is ExtractFromImage without the decode: the zero-copy serving
-// path verifies here and hands out a view of img instead of copying the
-// vector out. found reports whether the key was seen; a found slot that
-// fails verification returns an ErrCorrupt-wrapped error. Pass nSlots < 0
-// to scan every slot that fits.
+// 4×dim): the serving path verifies here and hands out a view of img
+// instead of copying the vector out. found reports whether the key was
+// seen; a found slot that fails verification returns an ErrCorrupt-wrapped
+// error. Pass nSlots < 0 to scan every slot that fits.
 func VerifySlotInImage(img []byte, dim int, k layout.Key, nSlots int) (payloadOff int, found bool, err error) {
 	slot := embedding.SlotSize(dim)
 	max := len(img) / slot
@@ -88,6 +60,18 @@ func VerifySlotInImage(img []byte, dim int, k layout.Key, nSlots int) (payloadOf
 		return off + 8, true, nil
 	}
 	return 0, false, nil
+}
+
+// ExtractFromImage is VerifySlotInImage plus the decode: it appends key
+// k's verified vector to dst. The second result reports whether the key
+// was found.
+func ExtractFromImage(img []byte, dim int, k layout.Key, nSlots int, dst []float32) ([]float32, bool, error) {
+	off, found, err := VerifySlotInImage(img, dim, k, nSlots)
+	if err != nil || !found {
+		return dst, found, err
+	}
+	dst, err = embedding.DecodeVector(img[off:off+4*dim], dim, dst)
+	return dst, err == nil, err
 }
 
 // Store holds the page images for one layout.

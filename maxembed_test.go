@@ -37,9 +37,9 @@ func TestOpenAndLookup(t *testing.T) {
 		if len(res.Keys) != len(distinct) {
 			t.Fatalf("query %d: got %d keys, want %d", i, len(res.Keys), len(distinct))
 		}
-		for j, v := range res.Vectors {
-			if len(v) != 64 {
-				t.Fatalf("vector %d has dim %d", j, len(v))
+		for j, ref := range res.Refs {
+			if ref.Dim() != 64 {
+				t.Fatalf("vector %d has dim %d", j, ref.Dim())
 			}
 		}
 	}
@@ -129,8 +129,8 @@ func TestTimingOnlyNoVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Vectors) != 0 {
-		t.Errorf("timing-only returned %d vectors", len(res.Vectors))
+	if len(res.Refs) != 0 {
+		t.Errorf("timing-only returned %d vectors", len(res.Refs))
 	}
 	if res.Stats.PagesRead == 0 {
 		t.Error("timing-only did no reads")
@@ -168,7 +168,7 @@ func TestRefreshKeepsHomesAndServesCorrectly(t *testing.T) {
 		for j, k := range res.Keys {
 			want = db.syn.Vector(k, want[:0])
 			for x := range want {
-				if res.Vectors[j][x] != want[x] {
+				if res.Refs[j].Float32(x) != want[x] {
 					t.Fatalf("wrong vector for key %d after refresh", k)
 				}
 			}
@@ -326,7 +326,7 @@ func TestHotSwapUnderConcurrentLookups(t *testing.T) {
 			checkResult := func(res Result) bool {
 				for j, k := range res.Keys {
 					want = db.syn.Vector(k, want[:0])
-					got := res.Vectors[j]
+					got := res.AppendVector(j, nil)
 					if len(got) != len(want) {
 						fail("worker %d: key %d vector dim %d, want %d", w, k, len(got), len(want))
 						return false

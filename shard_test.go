@@ -31,7 +31,7 @@ func TestMultiDeviceOpenAndLookup(t *testing.T) {
 		for j, k := range res.Keys {
 			want = db.syn.Vector(k, want[:0])
 			for x := range want {
-				if res.Vectors[j][x] != want[x] {
+				if res.Refs[j].Float32(x) != want[x] {
 					t.Fatalf("query %d: wrong vector for key %d on 2-device array", i, k)
 				}
 			}
@@ -122,7 +122,7 @@ func TestMultiDeviceHotSwapUnderLoad(t *testing.T) {
 				for j, k := range res.Keys {
 					want = db.syn.Vector(k, want[:0])
 					for x := range want {
-						if res.Vectors[j][x] != want[x] {
+						if res.Refs[j].Float32(x) != want[x] {
 							fail("worker %d: wrong vector for key %d (gen %d)", w, k, res.Stats.Generation)
 							return
 						}

@@ -175,7 +175,7 @@ func TestRefreshRetiersOnSkewShift(t *testing.T) {
 		for j, k := range res.Keys {
 			want = db.syn.Vector(k, want[:0])
 			for x := range want {
-				if res.Vectors[j][x] != want[x] {
+				if res.Refs[j].Float32(x) != want[x] {
 					t.Fatalf("wrong vector for key %d after re-tier swap", k)
 				}
 			}
@@ -258,7 +258,7 @@ func TestRefreshDuringFastShardRebuild(t *testing.T) {
 		for j, k := range res.Keys {
 			want = db.syn.Vector(k, want[:0])
 			for x := range want {
-				if res.Vectors[j][x] != want[x] {
+				if res.Refs[j].Float32(x) != want[x] {
 					t.Fatalf("wrong vector for key %d after rebuild+refresh races", k)
 				}
 			}
@@ -302,7 +302,7 @@ func TestRefreshRetierUnderConcurrentLookups(t *testing.T) {
 				for j, k := range res.Keys {
 					want = db.syn.Vector(k, want[:0])
 					for x := range want {
-						if res.Vectors[j][x] != want[x] {
+						if res.Refs[j].Float32(x) != want[x] {
 							select {
 							case errs <- errWrongVector:
 							default:
