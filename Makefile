@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-stress alloc-guard vet vet-tool lint staticcheck bench verify experiments
+.PHONY: build test race race-stress alloc-guard smoke vet vet-tool lint staticcheck bench verify experiments
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,11 @@ TestFileBackend .
 # The one read path on both backends: the simulator-vs-file differential
 # and the reroute-dedupe regression.
 TestSimAndFileResultsIdentical|TestRerouteNeverPlansAPageTwice ./internal/serving
+# Cache admission with workers contending for one tiny cache (evicting and
+# never-evicting inserts interleaved), and the server binary's serve
+# function: deadlines, and SIGTERM with a lookup in flight.
+TestConcurrentCachedLookups|TestAdmission ./internal/serving
+TestServe ./cmd/maxembed-server
 endef
 export RACE_SEAMS
 
@@ -86,16 +91,63 @@ race-stress:
 # batched) must allocate nothing at all, over the real-I/O backend and over
 # the simulator with a store (they run the same code), without a DRAM
 # cache and with one that evicts on every call; so must the cache's
-# own Get/Put mix and the slab behind it, and the /v1/lookup JSON codec
-# (request decode and reply encode at 0, the whole handler at a small
+# own Get/Put/PutIfRoom mix and the slab behind it, and the /v1/lookup JSON
+# codec (request decode and reply encode at 0, the whole handler at a small
 # constant independent of key count). CI runs this as the bench-smoke gate,
 # with one pass of the evicting-Put and codec benchmarks for their B/op.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestFileBackendLookupZeroAllocs|TestFileBackendBatchZeroAllocs' -v ./internal/serving
-	$(GO) test -count=1 -run 'TestCacheHitPathAllocs|TestCachePutAllocBudget|TestSlabCarvesAndRecycles' -v ./internal/cache
+	$(GO) test -count=1 -run 'TestCacheHitPathAllocs|TestCachePutAllocBudget|TestCacheFillAllocBudget|TestSlabCarvesAndRecycles' -v ./internal/cache
 	$(GO) test -run '^$$' -bench 'BenchmarkCachePutEvict|BenchmarkSegmentedPutEvict' -benchtime=1x -benchmem ./internal/cache
 	$(GO) test -count=1 -run 'TestHandlerLookupSteadyStateAllocs|TestDecodeLookupKeysZeroAllocs|TestEncodeJSONZeroAllocs' -v ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkEncodeJSON|BenchmarkDecodeLookupKeys' -benchtime=1x -benchmem ./internal/server
+
+# The end-to-end smokes CI runs on top of the suite, one per row: an
+# experiment whose hard assertions live inside the experiment itself, or
+# one -benchtime=1x pass of the serving benchmarks matching a pattern,
+# which keeps them buildable and lands their numbers in the log for
+# trend-eyeballing. `#` lines describe the rows under them.
+define SMOKES
+# Fails a shard mid-run, rebuilds it onto the hot spare under co-simulated
+# serving load, and asserts redundancy restored, zero hard-failed keys and
+# a bounded p99.
+experiment rebuildsweep
+# The hotness-tier sweep's equal-budget claims: shadow-chosen DRAM within
+# 10% of the best swept size, tiered beating all-dense on served bandwidth
+# and cost per kQPS, the fast tier over-serving its stripe share, all-fast
+# storage alone exceeding the budget.
+experiment tiersweep
+# The despread pass lowers the scored and live per-query max-shard depth
+# and the open-loop p99 at 80% of blind-striping capacity, with pages read
+# unchanged and effective bandwidth within noise.
+experiment coactsweep
+# Page-read parity between the simulator and the file backend on identical
+# traces, zero failed keys, host overhead per read under budget, on
+# io_uring at least half a query's pages per io_uring_enter, pool-worker
+# throughput that never collapses.
+experiment hwsweep
+# Page-cost cache admission never reads more than 1% above the paper's
+# admit-everything LRU in any (profile, cache ratio, policy) cell and at
+# least 12% less on Criteo at a 10% cache.
+experiment admitsweep
+# The simulator read path: timing-only, with a store, batched.
+bench WorkerLookup(Timing|Full|Batch)
+# The striped array at 1, 2 and 4 shards.
+bench WorkerLookupSharded
+# One pass over real file I/O (io_uring or the pread pool).
+bench WorkerLookupFileBackend
+endef
+export SMOKES
+
+smoke:
+	@echo "$$SMOKES" | grep -v '^#' | while read -r kind what; do \
+		case $$kind in \
+		experiment) set -- -count=1 -run "TestAllExperimentsRun/$$what\$$" ./internal/experiments ;; \
+		bench) set -- -run '^$$' -bench "$$what\$$" -benchtime=1x ./internal/serving ;; \
+		esac; \
+		echo "$(GO) test $$*"; \
+		$(GO) test "$$@" || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

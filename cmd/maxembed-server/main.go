@@ -10,12 +10,14 @@
 package main
 
 import (
+	"context"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
+	"net"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"maxembed"
@@ -172,7 +174,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
 	if fb, ok := db.Backend().(*ssd.FileBackend); ok {
 		log.Printf("file backend online: executor=%s direct_io=%v shards=%d",
 			fb.ExecutorKind(), fb.Direct(), fb.NumShards())
@@ -218,10 +219,17 @@ func main() {
 		srvOpts = append(srvOpts, server.WithSpreadReport(db))
 	}
 	h := server.NewDynamic(db.Handle(), db.Backend(), srvOpts...)
-	defer h.Close()
-	log.Printf("serving on %s", *addr)
-	if err := http.ListenAndServe(*addr, h); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// SIGINT or SIGTERM starts the shutdown; once it has, a second one kills
+	// the process the default way.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	log.Printf("serving on %s", ln.Addr())
+	if err := serve(ctx, ln, h, db, defaultLimits); err != nil {
+		log.Print(err)
 		os.Exit(1)
 	}
 }

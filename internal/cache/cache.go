@@ -5,13 +5,16 @@
 // configuration (§8.1). CacheLib is a C++ library and is not available
 // here, so this package provides an LRU with the same externally
 // observable semantics: bounded entry count, recency updated on Get,
-// insertion at the head on Put, eviction from the tail. Sharding keeps
-// contention low for the multi-worker serving engine.
+// insertion at the head on Put, eviction from the tail. PutIfRoom is the
+// one addition: an insert that never evicts, for callers that admit
+// selectively. Sharding keeps contention low for the multi-worker serving
+// engine.
 //
-// Like CacheLib, the steady state never touches the heap: each shard keeps
-// its entries in a slab of index-linked nodes with a free list, Put hands
-// the displaced value back to the caller for reuse, and Slab supplies
-// fixed-width value storage in chunks while the cache is still filling.
+// Like CacheLib, the cache takes its memory when it is built and serving
+// never touches the heap: each shard keeps its entries in a slab of
+// index-linked nodes with a free list, sized with its key index for the
+// shard's capacity, Put hands the displaced value back to the caller for
+// reuse, and Slab holds fixed-width value storage for a full cache.
 package cache
 
 import (
@@ -31,6 +34,9 @@ type Stats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
+	// Bypassed counts PutIfRoom calls that found no free slot and cached
+	// nothing.
+	Bypassed int64
 
 	// Segment occupancy at snapshot time.
 	ProbationLen int
@@ -83,6 +89,7 @@ type Cache[K comparable, V any] struct {
 	hits       atomic.Int64
 	misses     atomic.Int64
 	evictions  atomic.Int64
+	bypassed   atomic.Int64
 	pinnedHits atomic.Int64
 }
 
@@ -103,8 +110,9 @@ type node[K comparable, V any] struct {
 	seg        uint8
 }
 
-// shard is one lock domain: a key index over a slab of nodes that grows on
-// demand up to capacity. nodes[probation] and nodes[protected] are the
+// shard is one lock domain: a key index over a slab of nodes, both sized for
+// capacity when the shard is built, so a filling cache allocates no more
+// than a full one. nodes[probation] and nodes[protected] are the
 // sentinels of two circular recency lists (sentinel.next is the most
 // recent entry, sentinel.prev the eviction victim); a plain LRU keeps
 // everything on the probation list. Links are uint32 slab indexes, so a
@@ -142,7 +150,9 @@ func New[K comparable, V any](capacity int, hash Hasher[K]) *Cache[K, V] {
 
 // NewSharded is New with an explicit shard count, which must be a power of
 // two; other values are rounded up. Capacity is divided evenly among
-// shards (each shard gets at least one slot if capacity > 0).
+// shards (each shard gets at least one slot if capacity > 0), and each
+// shard's index and node slab are made for its share here: memory is
+// proportional to capacity from the start, not to what is cached.
 func NewSharded[K comparable, V any](capacity, nShards int, hash Hasher[K]) *Cache[K, V] {
 	capacity = max(capacity, 0)
 	if nShards < 1 {
@@ -173,8 +183,8 @@ func NewSharded[K comparable, V any](capacity, nShards int, hash Hasher[K]) *Cac
 		if i < extra {
 			s.capacity++
 		}
-		s.index = make(map[K]uint32)
-		s.nodes = make([]node[K, V], firstEntry, min(firstEntry+s.capacity, 16))
+		s.index = make(map[K]uint32, s.capacity)
+		s.nodes = make([]node[K, V], firstEntry, firstEntry+s.capacity)
 		s.nodes[protected].prev, s.nodes[protected].next = protected, protected
 	}
 	return c
@@ -281,17 +291,32 @@ func (c *Cache[K, V]) Contains(k K) bool {
 // back with displaced set: the evicted entry's, the replaced one's, or v
 // itself when k's shard has no capacity. The caller owns it again.
 func (c *Cache[K, V]) Put(k K, v V) (old V, displaced bool) {
-	evicted := false
+	return c.put(k, v, true)
+}
+
+// PutIfRoom is Put that never evicts: a key that is new to a full shard is
+// not cached, and v itself comes back as displaced, exactly as from a shard
+// without capacity. Replacing a present key and filling a free slot behave
+// as in Put.
+func (c *Cache[K, V]) PutIfRoom(k K, v V) (old V, displaced bool) {
+	return c.put(k, v, false)
+}
+
+func (c *Cache[K, V]) put(k K, v V, mayEvict bool) (old V, displaced bool) {
+	evicted, bypassed := false, false
 	s := c.shardFor(k)
 	s.mu.Lock()
-	if s.capacity <= 0 {
-		old, displaced = v, true
-	} else if n, ok := s.index[k]; ok {
+	n, present := s.index[k]
+	full := s.len() >= s.capacity
+	switch {
+	case present:
 		old, displaced = s.nodes[n].val, true
 		s.nodes[n].val = v
 		s.moveToFront(n, s.nodes[n].seg)
-	} else {
-		if s.len() >= s.capacity {
+	case full && (!mayEvict || s.capacity <= 0):
+		old, displaced, bypassed = v, true, !mayEvict
+	default:
+		if full {
 			old, displaced, evicted = s.evict(), true, true
 		}
 		// New entries start in the probation segment (plain LRU has only
@@ -304,6 +329,8 @@ func (c *Cache[K, V]) Put(k K, v V) (old V, displaced bool) {
 	s.mu.Unlock()
 	if evicted {
 		c.evictions.Add(1)
+	} else if bypassed {
+		c.bypassed.Add(1)
 	}
 	return old, displaced
 }
@@ -347,17 +374,12 @@ func (s *shard[K, V]) touch(k K) (uint32, bool) {
 	return n, true
 }
 
-// alloc returns an unlinked slot, growing the slab geometrically but never
-// past what capacity can use.
+// alloc returns an unlinked slot of a shard that is below capacity: a freed
+// one, or the next of the slab, which was made with room for them all.
 func (s *shard[K, V]) alloc() uint32 {
 	if n := s.free; n != 0 {
 		s.free = s.nodes[n].next
 		return n
-	}
-	if len(s.nodes) == cap(s.nodes) {
-		grown := make([]node[K, V], len(s.nodes), min(2*cap(s.nodes), firstEntry+s.capacity))
-		copy(grown, s.nodes)
-		s.nodes = grown
 	}
 	s.nodes = append(s.nodes, node[K, V]{})
 	return uint32(len(s.nodes) - 1)
@@ -409,6 +431,7 @@ func (c *Cache[K, V]) Stats() Stats {
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
+		Bypassed:      c.bypassed.Load(),
 		PinnedEntries: len(c.pinned),
 		PinnedHits:    c.pinnedHits.Load(),
 	}
@@ -431,6 +454,7 @@ func (c *Cache[K, V]) ResetStats() {
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)
+	c.bypassed.Store(0)
 	c.pinnedHits.Store(0)
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -93,17 +93,22 @@ func (m *model) contains(k uint32) bool {
 	return ok
 }
 
-func (m *model) put(k uint32, v []uint64) (old []uint64, displaced bool) {
+// put is Put with mayEvict set and PutIfRoom without.
+func (m *model) put(k uint32, v []uint64, mayEvict bool) (old []uint64, displaced bool) {
 	s := m.shard(k)
-	if s.capacity <= 0 {
-		return v, true
-	}
 	if prev, ok := s.vals[k]; ok {
 		seg := s.segOf(k)
 		s.remove(k)
 		s.pushFront(seg, k)
 		s.vals[k] = v
 		return prev, true
+	}
+	if len(s.vals) >= s.capacity && !mayEvict {
+		m.stats.Bypassed++
+		return v, true
+	}
+	if s.capacity <= 0 {
+		return v, true
 	}
 	if len(s.vals) >= s.capacity {
 		seg := probation
@@ -164,8 +169,9 @@ const (
 
 // checkOps decodes data as a cache geometry followed by (op, key) byte
 // pairs, applies the stream to a cache and to the model, and compares every
-// return value — a Put's displaced value names the eviction victim — and,
-// after every op, contents, recency order, Len and Stats.
+// return value — a Put's displaced value names the eviction victim, a
+// PutIfRoom's own value coming back says nothing was cached — and, after
+// every op, contents, recency order, Len and Stats.
 func checkOps(t testing.TB, data []byte) {
 	if len(data) < opHeader {
 		return
@@ -196,10 +202,14 @@ func checkOps(t testing.TB, data []byte) {
 		case op < 13:
 			version++
 			v := []uint64{uint64(k), version}
-			got, ok := c.Put(k, v)
-			want, wok := m.put(k, v)
+			put, mayEvict := c.Put, op < 10
+			if !mayEvict {
+				put = c.PutIfRoom
+			}
+			got, ok := put(k, v)
+			want, wok := m.put(k, v, mayEvict)
 			if ok != wok || !slices.Equal(got, want) {
-				t.Fatalf("%s: Put displaced %v, %v; model %v, %v", at, got, ok, want, wok)
+				t.Fatalf("%s: put (may evict: %v) displaced %v, %v; model %v, %v", at, mayEvict, got, ok, want, wok)
 			}
 		case op < 15:
 			if got, want := c.Contains(k), m.contains(k); got != want {
@@ -253,8 +263,8 @@ func opStream(rng *rand.Rand, segmented bool, shardExp, capacity, ops int) []byt
 }
 
 // TestCacheDifferential is the proof that the slab cache makes the same
-// decisions as the list-based one it replaced: random Get/Put/Contains/Pin
-// streams under both policies, over shard counts from one to more than the
+// decisions as the list-based one it replaced: random
+// Get/Put/PutIfRoom/Contains/Pin streams under both policies, over shard counts from one to more than the
 // capacity, and capacities from zero up, must match the reference model op
 // for op.
 func TestCacheDifferential(t *testing.T) {

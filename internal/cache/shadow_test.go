@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -205,11 +206,12 @@ func TestCacheHitPathAllocs(t *testing.T) {
 	}
 }
 
-// TestCachePutAllocBudget holds the full Get/Put mix under the segmented
-// policy — hits with promotion and demotion churn, misses, updates and
-// evicting inserts — to zero allocations once the shards' slabs and key
-// indexes have reached capacity: an evicting insert reuses the victim's
-// node, and the value it displaced goes back to the caller.
+// TestCachePutAllocBudget holds the full Get/Put/PutIfRoom mix under the
+// segmented policy — hits with promotion and demotion churn, misses,
+// updates, evicting inserts and bypassed ones — to zero allocations once
+// the shards' slabs and key indexes have reached capacity: an evicting
+// insert reuses the victim's node, and the value it displaced (a bypassed
+// insert's own) goes back to the caller.
 func TestCachePutAllocBudget(t *testing.T) {
 	c := NewSegmentedLRU[uint32, int](1024, Uint32Hasher)
 	for k := uint32(0); k < 2048; k++ {
@@ -217,12 +219,39 @@ func TestCachePutAllocBudget(t *testing.T) {
 	}
 	var i uint32
 	allocs := testing.AllocsPerRun(500, func() {
-		c.Get(i % 4096)  // mix of hits (with promotion churn) and misses
-		c.Put(i%4096, 0) // mix of updates and evicting inserts
+		c.Get(i % 4096)               // mix of hits (with promotion churn) and misses
+		c.Put(i%4096, 0)              // mix of updates and evicting inserts
+		c.PutIfRoom((i+2048)%4096, 0) // mix of updates and bypasses
 		i += 37
 	})
 	if allocs > 0 {
-		t.Errorf("cache Get/Put mix allocates %.1f times per op, want 0", allocs)
+		t.Errorf("cache Get/Put/PutIfRoom mix allocates %.1f times per op, want 0", allocs)
+	}
+	if st := c.Stats(); st.Bypassed == 0 || st.Bypassed >= 501 {
+		t.Errorf("%d of 501 PutIfRoom calls bypassed, want a mix of updates and bypasses", st.Bypassed)
+	}
+}
+
+// TestCacheFillAllocBudget holds filling a cache to zero allocations: the
+// slabs and key indexes are sized for capacity when the cache is built, so
+// a server's allocation rate does not depend on how full its cache is.
+func TestCacheFillAllocBudget(t *testing.T) {
+	const capacity = 4096
+	c := New[uint32, int](capacity, Uint32Hasher)
+	// Counted over the whole fill, not averaged per Put: growth would show
+	// as a handful of allocations among thousands of calls. Half the
+	// capacity, so that no shard's share of a hashed key range overflows.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := uint32(0); k < capacity/2; k++ {
+		c.Put(k, 0)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 0 {
+		t.Errorf("filling a cache halfway allocated %d times (%d bytes), want 0", n, after.TotalAlloc-before.TotalAlloc)
+	}
+	if c.Len() != capacity/2 || c.Stats().Evictions != 0 {
+		t.Errorf("%d entries, %d evictions after %d distinct Puts, want all resident", c.Len(), c.Stats().Evictions, capacity/2)
 	}
 }
 

@@ -2,31 +2,33 @@ package cache
 
 import "sync"
 
-// slabChunk is how many vectors one Slab chunk holds: large enough that a
-// filling cache allocates rarely, small enough that the last chunk's unused
-// tail is noise next to the cache itself.
+// slabChunk is how many vectors a Slab allocates at a time once it has
+// handed out the ones it was built with.
 const slabChunk = 256
 
-// Slab is the value store behind a Cache of fixed-width vectors. Vectors
-// are carved from chunks allocated on demand, so a cache that never fills
-// never pays for its capacity, and a full one stops allocating: from then
-// on every Put into the cache displaces a value, which the caller passes
-// to Get as spare and refills for its next Put. The slab itself only
-// bridges the gaps — a caller's first fill, and the vector it is left
-// holding when done, which goes back through Put instead of staying with
-// the caller. The population is therefore bounded by the cache's capacity
-// plus one vector per concurrent caller.
+// Slab is the value store behind a Cache of fixed-width vectors. It is built
+// holding one vector per cache entry, so filling the cache allocates
+// nothing, and a full cache needs no more: from then on every Put into the
+// cache displaces a value, which the caller passes to Get as spare and
+// refills for its next Put. Beyond that the slab only bridges the gaps — a
+// caller's first fill, and the vector it is left holding when done, which
+// goes back through Put instead of staying with the caller — from chunks
+// allocated on demand. The population is therefore bounded by the cache's
+// capacity plus one vector per concurrent caller.
 //
 // A Slab is safe for concurrent use.
 type Slab[E any] struct {
 	mu    sync.Mutex
 	width int
-	chunk []E   // unused tail of the newest chunk
+	chunk []E   // vectors not handed out yet
 	free  [][]E // vectors handed back by Put
 }
 
-// NewSlab returns a slab of width-element vectors.
-func NewSlab[E any](width int) *Slab[E] { return &Slab[E]{width: width} }
+// NewSlab returns a slab of width-element vectors that holds reserve of them
+// from the start.
+func NewSlab[E any](width, reserve int) *Slab[E] {
+	return &Slab[E]{width: width, chunk: make([]E, max(reserve, 0)*width)}
+}
 
 // Get returns an empty vector to append one value's width elements into,
 // with capacity for exactly those: spare when the caller has one, otherwise

@@ -4,7 +4,7 @@ import "testing"
 
 func TestSlabCarvesAndRecycles(t *testing.T) {
 	const width = 8
-	s := NewSlab[float32](width)
+	s := NewSlab[float32](width, 0)
 	// Carve across a chunk boundary: every vector is width long, cannot
 	// grow into its neighbour, and shares no element with another.
 	vecs := make([][]float32, slabChunk+3)
@@ -33,6 +33,16 @@ func TestSlabCarvesAndRecycles(t *testing.T) {
 		t.Error("Get did not hand the caller's spare back emptied")
 	}
 	s.Put(nil)
+	// A slab built with a reserve hands that many out without allocating
+	// and falls back to chunks after them.
+	const reserve = 300
+	r := NewSlab[float32](width, reserve)
+	if allocs := testing.AllocsPerRun(reserve-1, func() { r.Get(nil) }); allocs > 0 {
+		t.Errorf("handing out a reserved vector allocates %.1f times, want 0", allocs)
+	}
+	if v := r.Get(nil); len(v) != 0 || cap(v) != width {
+		t.Errorf("first vector past the reserve: len %d cap %d, want 0/%d", len(v), cap(v), width)
+	}
 	// The bridge a full cache needs — take one, hand one back — is free.
 	if allocs := testing.AllocsPerRun(200, func() { s.Put(s.Get(nil)) }); allocs > 0 {
 		t.Errorf("steady-state Get/Put allocates %.1f times per op, want 0", allocs)

@@ -178,6 +178,7 @@ func Build(history [][]Key, cfg Config) (*Cluster, error) {
 			Layout:       lay,
 			Device:       dev,
 			CacheEntries: int(cfg.CacheRatio * float64(lay.NumKeys)),
+			AdmitAll:     true, // the scaleout figure keeps the paper's cache
 			IndexLimit:   cfg.IndexLimit,
 			Pipeline:     true,
 			VectorBytes:  embedding.BytesPerVector(cfg.Dim),

@@ -112,6 +112,7 @@ func All() []Experiment {
 		{"tiersweep", "Supplementary: hotness-tiered memory hierarchy at equal TCO", TierSweep},
 		{"coactsweep", "Supplementary: co-activation-aware cross-SSD placement vs blind striping", CoactSweep},
 		{"hwsweep", "Supplementary: real async I/O backend vs simulator, with hard host-overhead and scaling budgets", HWSweep},
+		{"admitsweep", "Supplementary: page-cost-aware cache admission vs the paper's admit-everything LRU", AdmitSweep},
 	}
 }
 
@@ -232,16 +233,23 @@ type servingOpts struct {
 	device     ssd.Profile
 	devices    int     // stripe over this many devices (≤1 = single)
 	cacheRatio float64 // fraction of the key space; 0 disables
+	segmented  bool    // segmented LRU instead of plain
+	admitAll   bool    // the paper's admit-everything cache (serving.Config.AdmitAll)
 	indexLimit int
 	pipeline   bool
 	greedy     bool
 	warm       bool // pre-warm the cache with the history trace
+	// warmByServing warms by serving the history trace instead of through
+	// Engine.WarmCache, so the cache starts the measured run in the state
+	// the engine's own admission leaves it in.
+	warmByServing bool
 }
 
 func defaultServing() servingOpts {
 	return servingOpts{
 		device:     ssd.P5800X,
 		cacheRatio: 0.10,
+		admitAll:   true,
 		indexLimit: 10,
 		pipeline:   true,
 		warm:       true,
@@ -252,12 +260,14 @@ func defaultServing() servingOpts {
 func serve(cfg Config, pr *prepared, lay *layout.Layout, so servingOpts) (serving.RunResult, error) {
 	cacheEntries := int(so.cacheRatio * float64(lay.NumKeys))
 	engCfg := serving.Config{
-		Layout:       lay,
-		CacheEntries: cacheEntries,
-		IndexLimit:   so.indexLimit,
-		Pipeline:     so.pipeline,
-		Greedy:       so.greedy,
-		VectorBytes:  embedding.BytesPerVector(cfg.Dim),
+		Layout:         lay,
+		CacheEntries:   cacheEntries,
+		SegmentedCache: so.segmented,
+		AdmitAll:       so.admitAll,
+		IndexLimit:     so.indexLimit,
+		Pipeline:       so.pipeline,
+		Greedy:         so.greedy,
+		VectorBytes:    embedding.BytesPerVector(cfg.Dim),
 	}
 	if so.devices > 1 {
 		arr, err := ssd.NewArray(so.device, so.devices)
@@ -277,7 +287,12 @@ func serve(cfg Config, pr *prepared, lay *layout.Layout, so servingOpts) (servin
 		return serving.RunResult{}, err
 	}
 	if so.warm && cacheEntries > 0 {
-		if err := eng.WarmCache(pr.history.Queries); err != nil {
+		if so.warmByServing {
+			_, err = serving.Run(eng, pr.history.Queries, cfg.Workers)
+		} else {
+			err = eng.WarmCache(pr.history.Queries)
+		}
+		if err != nil {
 			return serving.RunResult{}, err
 		}
 	}

@@ -47,6 +47,7 @@ func LoadCurve(cfg Config) error {
 			Layout:       lay,
 			Device:       dev,
 			CacheEntries: lay.NumKeys / 10,
+			AdmitAll:     true,
 			IndexLimit:   10,
 			Pipeline:     true,
 			VectorBytes:  embedding.BytesPerVector(cfg.Dim),

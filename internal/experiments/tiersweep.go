@@ -90,6 +90,7 @@ func TierSweep(cfg Config) error {
 		engCfg := serving.Config{
 			Layout:       lay,
 			CacheEntries: cacheEntries,
+			AdmitAll:     true,
 			ShadowSizes:  shadow,
 			IndexLimit:   10,
 			Pipeline:     true,
@@ -235,6 +236,7 @@ func TierSweep(cfg Config) error {
 		engCfg := serving.Config{
 			Layout:       l,
 			CacheEntries: entries,
+			AdmitAll:     true,
 			IndexLimit:   10,
 			Pipeline:     true,
 			VectorBytes:  vecBytes,

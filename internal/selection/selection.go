@@ -18,7 +18,7 @@ package selection
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"maxembed/internal/layout"
 )
@@ -118,26 +118,7 @@ type Selector struct {
 	keys       []Key
 	coveredBuf []Key
 	tieBreak   func(cand, best PageID) bool
-	sorter     replicaSorter
-}
-
-// replicaSorter orders keys by ascending replica count (§6.1 ❶), ties by
-// key id. It lives in the Selector so sorting allocates nothing per query
-// (sort.Slice's closure and interface conversion both escape; a pointer to
-// a stored sort.Interface does not).
-type replicaSorter struct {
-	keys []Key
-	fwd  [][]PageID
-}
-
-func (s *replicaSorter) Len() int      { return len(s.keys) }
-func (s *replicaSorter) Swap(i, j int) { s.keys[i], s.keys[j] = s.keys[j], s.keys[i] }
-func (s *replicaSorter) Less(i, j int) bool {
-	ri, rj := len(s.fwd[s.keys[i]]), len(s.fwd[s.keys[j]])
-	if ri != rj {
-		return ri < rj
-	}
-	return s.keys[i] < s.keys[j]
+	order      []uint64 // ❶'s sort scratch: replica count<<32 | key
 }
 
 // NewSelector returns a selector over idx.
@@ -222,11 +203,18 @@ func (s *Selector) onePass(query []Key, skip func(Key) bool, emit EmitFunc, sort
 	}
 	st.Keys = len(s.keys)
 	// ❶ Sort by ascending replica count; ties by key id for determinism.
+	// Packed with the count above the key, integer order is that order,
+	// and sorting integers needs no comparator calls.
 	idx := s.idx
 	if sorted {
-		s.sorter.keys, s.sorter.fwd = s.keys, idx.forward
-		sort.Sort(&s.sorter)
-		s.sorter.keys, s.sorter.fwd = nil, nil
+		s.order = s.order[:0]
+		for _, k := range s.keys {
+			s.order = append(s.order, uint64(len(idx.forward[k]))<<32|uint64(k))
+		}
+		slices.Sort(s.order)
+		for i, o := range s.order {
+			s.keys[i] = Key(o)
+		}
 	}
 	for _, k := range s.keys {
 		if s.coverMark[k] == s.epoch {

@@ -3,6 +3,7 @@ package selection
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"maxembed/internal/hypergraph"
@@ -330,5 +331,69 @@ func TestSelectorReuseAcrossQueries(t *testing.T) {
 	}
 	if st.Keys != 1 || st.Pages != 1 {
 		t.Errorf("second query stats = %+v", st)
+	}
+}
+
+// replicaSorter is the comparator OnePass ordered keys with before it packed
+// (replica count, key) into integers: ascending replica count, ties by key
+// id. It stays here as the reference the packed sort is checked against.
+type replicaSorter struct {
+	keys []Key
+	fwd  [][]PageID
+}
+
+func (s *replicaSorter) Len() int      { return len(s.keys) }
+func (s *replicaSorter) Swap(i, j int) { s.keys[i], s.keys[j] = s.keys[j], s.keys[i] }
+func (s *replicaSorter) Less(i, j int) bool {
+	ri, rj := len(s.fwd[s.keys[i]]), len(s.fwd[s.keys[j]])
+	if ri != rj {
+		return ri < rj
+	}
+	return s.keys[i] < s.keys[j]
+}
+
+// TestOnePassOrderMatchesComparatorSort: over every dataset profile's
+// generated trace, OnePass selects the same pages, covering the same keys,
+// in the same order as a selection that visits the keys in the order the
+// sort.Sort comparator gives them.
+func TestOnePassOrderMatchesComparatorSort(t *testing.T) {
+	for _, p := range workload.Profiles() {
+		tr, err := workload.Generate(p.Scaled(0.02))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := hypergraph.FromQueries(tr.NumItems, tr.Queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lay, err := placement.Build(placement.StrategyMaxEmbed, g, placement.Options{
+			Capacity: 15, ReplicationRatio: 0.4, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := NewIndex(lay, 10)
+		sel, ref := NewSelector(idx), NewSelector(idx)
+		for qi, q := range tr.Queries {
+			var ordered []Key
+			seen := map[Key]bool{}
+			for _, k := range q {
+				if !seen[k] {
+					seen[k] = true
+					ordered = append(ordered, k)
+				}
+			}
+			sort.Sort(&replicaSorter{keys: ordered, fwd: idx.forward})
+			var want, got [][2]interface{}
+			if _, err := ref.OnePassUnsorted(ordered, nil, collect(&want)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sel.OnePass(q, nil, collect(&got)); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s query %d: selected %v; comparator order selects %v", p.Name, qi, got, want)
+			}
+		}
 	}
 }

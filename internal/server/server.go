@@ -661,6 +661,10 @@ type CacheStatsEntry struct {
 	Evictions int64   `json:"evictions"`
 	HitRate   float64 `json:"hit_rate"`
 	Entries   int     `json:"entries"`
+	// Bypassed counts keys read from a shared page that found their cache
+	// shard full and were not cached. Beside Evictions, each of which made
+	// room for an admitted key, it shows the admission rule at work.
+	Bypassed int64 `json:"bypassed"`
 	// Segment detail: probation/protected occupancy and eviction split,
 	// with promotion/demotion churn (zero protected under plain LRU).
 	ProbationEntries   int   `json:"probation_entries"`
@@ -803,6 +807,7 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 			Hits:               cs.Hits,
 			Misses:             cs.Misses,
 			Evictions:          cs.Evictions,
+			Bypassed:           cs.Bypassed,
 			HitRate:            cs.HitRate(),
 			Entries:            c.Len(),
 			ProbationEntries:   cs.ProbationLen,
@@ -972,6 +977,7 @@ func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request) {
 		cs := c.Stats()
 		fmt.Fprintf(w, "# TYPE maxembed_cache_hits_total counter\nmaxembed_cache_hits_total %d\n", cs.Hits)
 		fmt.Fprintf(w, "# TYPE maxembed_cache_misses_total counter\nmaxembed_cache_misses_total %d\n", cs.Misses)
+		fmt.Fprintf(w, "# TYPE maxembed_cache_bypassed_total counter\nmaxembed_cache_bypassed_total %d\n", cs.Bypassed)
 		fmt.Fprintf(w, "# TYPE maxembed_cache_entries gauge\nmaxembed_cache_entries %d\n", c.Len())
 		fmt.Fprintf(w, "# TYPE maxembed_cache_probation_entries gauge\nmaxembed_cache_probation_entries %d\n", cs.ProbationLen)
 		fmt.Fprintf(w, "# TYPE maxembed_cache_protected_entries gauge\nmaxembed_cache_protected_entries %d\n", cs.ProtectedLen)

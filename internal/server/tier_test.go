@@ -96,8 +96,12 @@ func TestStatsEndpointTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sr StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,6 +159,16 @@ func TestStatsEndpointTiers(t *testing.T) {
 	if sr.Cache.Hits > 0 && sr.Cache.Promotions == 0 {
 		t.Error("hits recorded but no promotions under segmented policy")
 	}
+	// The admission outcome is readable: on a cache this small both kinds
+	// of miss-fill happened, solo keys evicting and shared-read keys passing
+	// a full shard by.
+	if !strings.Contains(string(body), `"bypassed":`) {
+		t.Error("cache block has no \"bypassed\" field")
+	}
+	if sr.Cache.Evictions == 0 || sr.Cache.Bypassed == 0 {
+		t.Errorf("evictions %d, bypassed %d: want both non-zero on a full 64-entry cache",
+			sr.Cache.Evictions, sr.Cache.Bypassed)
+	}
 
 	// The ghost-cache miss-rate curve rides along: one point per simulated
 	// capacity, ascending, with hit rates monotone in capacity.
@@ -202,6 +216,7 @@ func TestMetricsEndpointTiers(t *testing.T) {
 		"# TYPE maxembed_tier_pages gauge",
 		"maxembed_tier_pages{tier=\"0\",profile=\"P5800X\"}",
 		"# TYPE maxembed_tier_read_share gauge",
+		"# TYPE maxembed_cache_bypassed_total counter",
 		"# TYPE maxembed_cache_probation_entries gauge",
 		"# TYPE maxembed_cache_protected_entries gauge",
 		"# TYPE maxembed_cache_probation_evictions_total counter",

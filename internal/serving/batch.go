@@ -33,10 +33,10 @@ type BatchResult struct {
 	// counts pages that served at least one of the query's keys, PageShare
 	// apportions shared reads fractionally, and latency is the batch
 	// completion time. Recovery totals (Retries, ReadFaults, Corruptions,
-	// ReplicaRescues) are accounted batch-wide in Stats.Combined, not per
-	// query. PerQuery itself and every slice in it alias worker memory
-	// reused by the next lookup, each result's Refs views included (Hold
-	// them to keep them longer).
+	// ReplicaRescues) and SoloKeys are accounted batch-wide in
+	// Stats.Combined, not per query. PerQuery itself and every slice in it
+	// alias worker memory reused by the next lookup, each result's Refs
+	// views included (Hold them to keep them longer).
 	PerQuery []Result
 	// Stats aggregates the combined pass.
 	Stats BatchStats
@@ -372,6 +372,7 @@ func RunBatched(e *Engine, queries [][]Key, batchSize, workers int) (RunResult, 
 		res.Keys += int64(st.Keys)
 		res.PagesRead += int64(st.PagesRead)
 		res.UsefulKeys += int64(st.UsefulFromSSD)
+		res.SoloKeys += int64(st.SoloKeys)
 		res.CacheHits += int64(st.CacheHits)
 		res.SortNS += st.SortNS
 		res.SelectNS += st.SelectNS

@@ -132,12 +132,14 @@ func (f *fixture) serveTrace(t *testing.T, e *Engine, queries [][]Key, batch int
 // TestSimAndFileResultsIdentical is the differential behind "one read
 // path": the same layout, trace and faults through the simulator and
 // through real file I/O must give the same answer in every observable —
-// key order, failed keys, payload bytes and pages read — cacheless and
-// cached, isolated and batched.
+// key order, failed keys, payload bytes, pages read and the cache's own
+// counters — cacheless and cached, isolated and batched. Both cache sizes
+// fill within a few queries, so admission is compared with free slots and
+// without.
 func TestSimAndFileResultsIdentical(t *testing.T) {
 	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
 	queries := f.trace.Queries[:320]
-	for _, cacheShare := range []float64{0, 0.1} {
+	for _, cacheShare := range []float64{0, 0.1, 0.02} {
 		for _, batch := range []int{1, 8} {
 			t.Run(fmt.Sprintf("cache=%v/batch=%d", cacheShare, batch), func(t *testing.T) {
 				bp := f.backendPair(t, true, func(c *Config) {
@@ -156,6 +158,15 @@ func TestSimAndFileResultsIdentical(t *testing.T) {
 					}
 					if s.pages != fl.pages {
 						t.Fatalf("query %d: %d pages read on the simulator, %d on files", qi, s.pages, fl.pages)
+					}
+				}
+				if cacheShare > 0 {
+					ss, fs := bp.sim.Cache().Stats(), bp.file.Cache().Stats()
+					if ss != fs {
+						t.Fatalf("cache stats %+v on the simulator, %+v on files", ss, fs)
+					}
+					if ss.Evictions == 0 || ss.Bypassed == 0 {
+						t.Fatalf("cache stats %+v: the cache never ran full", ss)
 					}
 				}
 				for name, e := range map[string]*Engine{"sim": bp.sim, "file": bp.file} {

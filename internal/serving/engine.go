@@ -76,6 +76,11 @@ type Config struct {
 	// SegmentedCache switches the DRAM cache from plain LRU (the paper's
 	// configuration) to CacheLib's scan-resistant segmented LRU.
 	SegmentedCache bool
+	// AdmitAll caches every key a lookup reads from a page, evicting for
+	// each — the paper's CacheLib configuration (§8.1), for figure
+	// reproduction. Serving leaves it unset and admits by page cost (see
+	// Engine.admit).
+	AdmitAll bool
 	// IndexLimit is k, the index-shrinking bound (§6.1); 0 keeps all
 	// replica entries.
 	IndexLimit int
@@ -315,7 +320,9 @@ func New(cfg Config) (*Engine, error) {
 	case cfg.Store != nil:
 		e.dim = cfg.Store.Dim()
 		e.vecSize = e.dim * 4
-		e.vecs = cache.NewSlab[byte](e.vecSize)
+		// The cache never holds more vectors than it has slots or the
+		// table has keys.
+		e.vecs = cache.NewSlab[byte](e.vecSize, min(cfg.CacheEntries, cfg.Layout.NumKeys))
 	case cfg.VectorBytes > 0:
 		e.vecSize = cfg.VectorBytes
 	default:
@@ -517,6 +524,10 @@ type QueryStats struct {
 	Generation uint64
 	// UsefulFromSSD is the number of distinct keys served from SSD pages.
 	UsefulFromSSD int
+	// SoloKeys counts the keys whose page read served no other key of the
+	// pass — the reads a cached copy would have saved outright. Like the
+	// recovery totals, batch-wide under LookupBatch.
+	SoloKeys int
 	// StartNS/EndNS bound the query on the worker's virtual clock.
 	StartNS, EndNS int64
 	// SortNS, SelectNS, and OtherSoftNS break down charged software time;
@@ -636,12 +647,15 @@ type Worker struct {
 	flat2       []Key
 	fbKeys      []Key
 	// read and recover: keys/refs are the one output list, a verified view
-	// per key served from a page image. The images stay alive until the
-	// next lookup's probe: completion buffers in held, worker-owned page
-	// buffers (the first pagesUsed of pageBufs) for reads that came without
-	// one. failures queues page reads for recovery; failedKeys is final.
+	// per key served from a page image, and solo[i] says keys[i]'s page read
+	// served no other key of this pass (what admit goes by). The images stay
+	// alive until the next lookup's probe: completion buffers in held,
+	// worker-owned page buffers (the first pagesUsed of pageBufs) for reads
+	// that came without one. failures queues page reads for recovery;
+	// failedKeys is final.
 	keys       []Key
 	refs       []SlotRef
+	solo       []bool
 	held       []*ssd.PageBuf
 	pageBufs   [][]byte
 	pagesUsed  int
@@ -1050,7 +1064,7 @@ func (w *Worker) readPages(st *QueryStats, t int64) int64 {
 	st.SSDWaitNS = max(done-selected, 0)
 	st.PagesRead = len(w.plan)
 
-	w.keys, w.refs = w.keys[:0], w.refs[:0]
+	w.keys, w.refs, w.solo = w.keys[:0], w.refs[:0], w.solo[:0]
 	w.failures, w.failedKeys = w.failures[:0], w.failedKeys[:0]
 	w.indexCompletions(comps)
 	for _, pe := range w.plan {
@@ -1112,6 +1126,9 @@ func (w *Worker) consume(st *QueryStats, c ssd.Completion, keys []Key) error {
 		return err
 	}
 	e.ValidPerRead.Add(len(keys))
+	if len(keys) == 1 {
+		st.SoloKeys++
+	}
 	return nil
 }
 
@@ -1137,6 +1154,9 @@ func (w *Worker) extract(c ssd.Completion, keys []Key) error {
 	}
 	w.refs = refs
 	w.keys = append(w.keys, keys...)
+	for range keys {
+		w.solo = append(w.solo, len(keys) == 1)
+	}
 	if c.Buf != nil {
 		w.held = append(w.held, c.Buf)
 	} else {
@@ -1278,11 +1298,31 @@ func (w *Worker) serveFromStore(st *QueryStats, t int64) int64 {
 	return t + c
 }
 
+// admit offers the cache a key a lookup just read from a page and returns
+// the storage that fell out of it (nil when the cache grew). Keys that miss
+// together on one page cost one read however many of them are cached — a
+// hit saves a read only when it removes the last missing key from a page —
+// so admission follows the read's width. A solo key, whose read served no
+// other key of the pass, saves exactly one read per later hit: it is
+// inserted as in the paper, evicting the LRU victim. A key whose read was
+// shared takes a free slot when its shard has one, since unused capacity
+// saves nothing, and is otherwise not cached: evicting for it would trade an
+// entry worth a whole read for one worth a fraction.
+func (e *Engine) admit(k Key, v []byte, solo bool) []byte {
+	if solo || e.cfg.AdmitAll {
+		v, _ = e.cache.Put(k, v)
+	} else {
+		v, _ = e.cache.PutIfRoom(k, v)
+	}
+	return v
+}
+
 // assemble closes the pass: it charges the extract cost of the keys read
-// from page images, fills the cache with them — each payload copied
-// straight into the storage the previous fill displaced — and appends the
-// probe's hits, so that w.keys/w.refs, which the Result aliases, cover
-// every served key: page-served first, in read order, then DRAM hits.
+// from page images, offers them to the cache (see admit) — each payload
+// copied straight into the storage the previous offer displaced — and
+// appends the probe's hits, so that w.keys/w.refs, which the Result
+// aliases, cover every served key: page-served first, in read order, then
+// DRAM hits.
 // Degradation counters are the caller's (see finish): Lookup counts one
 // degraded query, LookupBatch attributes failed keys to each owning query.
 func (w *Worker) assemble(st *QueryStats, t int64) Result {
@@ -1295,19 +1335,24 @@ func (w *Worker) assemble(st *QueryStats, t int64) Result {
 	case e.cfg.Store != nil:
 		var spare []byte // cache storage the last miss-fill displaced
 		for i, k := range w.keys {
-			spare, _ = e.cache.Put(k, append(e.vecs.Get(spare), w.refs[i].Payload...))
+			spare = e.admit(k, append(e.vecs.Get(spare), w.refs[i].Payload...), w.solo[i])
 		}
 		e.vecs.Put(spare)
 	default:
 		// Timing-only: placeholders for the keys whose reads succeeded.
-		// Selection is over, so seen is free to mark the failed keys.
+		// Without payloads no read left a record, so a key goes by the width
+		// of the read it was planned on, recovered or not. Selection is over,
+		// so seen is free to mark the failed keys.
 		clear(w.seen)
 		for _, k := range w.failedKeys {
 			w.seen[k] = true
 		}
-		for _, k := range w.coveredFlat {
-			if !w.seen[k] {
-				e.cache.Put(k, nil)
+		for _, pe := range w.plan {
+			group := w.coveredFlat[pe.from:pe.to]
+			for _, k := range group {
+				if !w.seen[k] {
+					e.admit(k, nil, len(group) == 1)
+				}
 			}
 		}
 	}

@@ -29,9 +29,11 @@ type RunResult struct {
 	// Utilization is EffectiveBandwidth over the device's rated bandwidth
 	// (= useful bytes / bytes read).
 	Utilization float64
-	// PagesRead counts SSD reads; UsefulKeys the embeddings they served.
+	// PagesRead counts SSD reads; UsefulKeys the embeddings they served,
+	// SoloKeys those of them that were the only key their read served.
 	PagesRead  int64
 	UsefulKeys int64
+	SoloKeys   int64
 	// MeanValidPerRead is the Fig 9 average: embeddings per page read.
 	MeanValidPerRead float64
 	// MeanMaxShardDepth is the mean, over queries, of the deepest
@@ -96,6 +98,7 @@ func Run(e *Engine, queries [][]Key, workers int) (RunResult, error) {
 		res.Keys += int64(st.Keys)
 		res.PagesRead += int64(st.PagesRead)
 		res.UsefulKeys += int64(st.UsefulFromSSD)
+		res.SoloKeys += int64(st.SoloKeys)
 		res.CacheHits += int64(st.CacheHits)
 		res.SortNS += st.SortNS
 		res.SelectNS += st.SelectNS

@@ -108,13 +108,19 @@ func WithReplicationRatio(r float64) Option { return func(c *config) { c.ratio =
 func WithIndexLimit(k int) Option { return func(c *config) { c.indexLimit = k } }
 
 // WithCacheEntries sets the DRAM cache capacity in embeddings (overrides
-// WithCacheRatio). 0 disables the cache.
+// WithCacheRatio). 0 disables the cache. The cache's index is made for n
+// entries at Open, so n is memory asked for, not an upper limit to be
+// generous with.
 func WithCacheEntries(n int) Option {
 	return func(c *config) { c.cacheEntries = n; c.cacheRatio = -1 }
 }
 
 // WithCacheRatio sizes the DRAM cache as a fraction of the key count
-// (default 0.1, the paper's default §8.1).
+// (default 0.1, the paper's default §8.1). The cache is the paper's LRU with
+// update-on-read, except that it admits by page cost: while it has room it
+// caches every key a lookup reads, and once full it evicts only for a key
+// whose page read served no other key of the lookup — keys that miss
+// together on one page cost one read however many of them are cached.
 func WithCacheRatio(f float64) Option { return func(c *config) { c.cacheRatio = f } }
 
 // WithSegmentedCache switches the DRAM cache from plain LRU (the paper's
@@ -184,7 +190,9 @@ func WithDRAMPins(n int) Option { return func(c *config) { c.pinTop = n } }
 // WithShadowCache attaches keys-only ghost caches simulating LRUs of the
 // given entry capacities over the live distinct-key stream; their measured
 // hit-rate curve (DB.ShadowCurve) is how the DRAM cache size is chosen
-// from data. With no explicit capacities a geometric grid over the key
+// from data. The ghosts admit every key, as the paper's cache does, so the
+// curve is that cache's hit rate: the real cache (see WithCacheRatio) runs
+// within a few points of it either way while reading fewer pages. With no explicit capacities a geometric grid over the key
 // space (1%–32%) is simulated. Ghost caches cost host memory proportional
 // to the largest simulated capacity but charge no virtual time.
 func WithShadowCache(capacities ...int) Option {
