@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-stress alloc-guard smoke vet vet-tool lint staticcheck bench verify experiments
+.PHONY: build test race race-stress alloc-guard smoke vet vet-tool lint staticcheck bench bench-check verify experiments
 
 build:
 	$(GO) build ./...
@@ -64,10 +64,12 @@ TestTiered|TestRefreshRetier .
 Despread|Spread|TopForSet|MaxShardDepth|LookupBatch ./internal/placement ./internal/hypergraph ./internal/serving
 TestCoActivationPlacementOption|TestRefreshDuringFastShardRebuild .
 # Real I/O: the async backend's ring lending (ring-full, one ring over four
-# fds, ring lifetime and retire, concurrent queue pairs, read errors — all
-# TestFileBackend…), pread-pool and freelist paths, held-view lifetimes
-# across recycled buffers, the server's lease/encode handoff and the public
-# WithFileBackend surface.
+# fds, ring lifetime and retire, concurrent queue pairs, read errors, reads
+# asked of a closed backend on both executors — all TestFileBackend…),
+# pread-pool and freelist paths, held-view lifetimes across recycled
+# buffers, the server's lease/encode handoff and the public WithFileBackend
+# surface (shard files as the only copy, slots damaged on disk, a lookup
+# after Close — a hang there is what the -timeout below is for).
 TestFile|TestPageBuf|TestPread|TestUring|TestLookupBinary|TestLookupJSONOverFileBackend|TestMetricsBackendLatencyHistogram ./internal/ssd ./internal/serving ./internal/server
 TestFileBackend .
 # The one read path on both backends: the simulator-vs-file differential
@@ -83,8 +85,8 @@ export RACE_SEAMS
 
 race-stress:
 	@echo "$$RACE_SEAMS" | grep -v '^#' | while read -r pattern pkgs; do \
-		echo "$(GO) test -race -count=3 -run '$$pattern' $$pkgs"; \
-		$(GO) test -race -count=3 -run "$$pattern" $$pkgs || exit 1; \
+		echo "$(GO) test -race -count=3 -timeout 3m -run '$$pattern' $$pkgs"; \
+		$(GO) test -race -count=3 -timeout 3m -run "$$pattern" $$pkgs || exit 1; \
 	done
 
 # The read path's hard allocation gate: once warm, a lookup (single and
@@ -152,10 +154,18 @@ smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# The repo benchmark's harness (bench/, BENCHMARK.json) is a module of its
+# own, outside `go build ./...`, `lint` and the suite, and it compiles
+# against internal packages: an API change here can break it unseen. This
+# vets it and runs its short tests; it runs no workload.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
 # The full pre-merge gate: static checks (including the repo's own
-# analyzer suite), build, and the test suite under the race detector
-# (the serving engine and HTTP layer are concurrent).
-verify: vet lint staticcheck build race race-stress alloc-guard
+# analyzer suite), build (the benchmark harness included), and the test
+# suite under the race detector (the serving engine and HTTP layer are
+# concurrent).
+verify: vet lint staticcheck build bench-check race race-stress alloc-guard
 
 experiments:
 	$(GO) run ./cmd/experiments

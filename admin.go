@@ -2,6 +2,7 @@ package maxembed
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"maxembed/internal/serving"
@@ -179,7 +180,16 @@ func (db *DB) RebuildShard(ctx context.Context, shard int, cfg RebuildConfig) (R
 // stored checksum is verified against the store image, and latent (at
 // rest) corruption is repaired from cross-shard replicas unless
 // cfg.DetectOnly is set. Sweeps are serialized.
+//
+// Simulator-only: the sweep verifies and rewrites slots of an in-memory
+// table image, and a file-backed DB (WithFileBackend) has none — its shard
+// files are the only copy, read-only once written — so Scrub returns an
+// error there. A damaged slot on disk is still caught, by the checksum of
+// whichever lookup reads it.
 func (db *DB) Scrub(ctx context.Context, cfg ScrubConfig) (ScrubReport, error) {
+	if db.cfg.fileDir != "" {
+		return ScrubReport{}, errors.New("maxembed: Scrub is not supported on a file backend (no in-memory table image to patrol or repair; the shard files are the only copy)")
+	}
 	db.scrubMu.Lock()
 	defer db.scrubMu.Unlock()
 	return serving.Scrub(ctx, db.handle.Engine(), cfg)

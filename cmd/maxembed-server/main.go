@@ -207,11 +207,13 @@ func main() {
 		log.Printf("pprof endpoints on /debug/pprof/")
 	}
 	if *devices > 1 {
-		srvOpts = append(srvOpts,
-			server.WithShardAdmin(db),
-			server.WithScrub(db),
-			server.WithShardFailTolerance(*shardTolerance))
-		log.Printf("shard admin online: POST /v1/scrub, /v1/shards/{i}/fail, /v1/shards/{i}/rebuild (tolerance %.0f%% dead shards)", *shardTolerance*100)
+		srvOpts = append(srvOpts, server.WithShardFailTolerance(*shardTolerance))
+		if fileDir != "" {
+			log.Printf("scrub and shard fail/rebuild unavailable on the file backend (simulator-only; the shard files are the only copy of the table)")
+		} else {
+			srvOpts = append(srvOpts, server.WithShardAdmin(db), server.WithScrub(db))
+			log.Printf("shard admin online: POST /v1/scrub, /v1/shards/{i}/fail, /v1/shards/{i}/rebuild (tolerance %.0f%% dead shards)", *shardTolerance*100)
+		}
 	}
 	if tiered || *devices > 1 {
 		// The spread report is nil until a despread pass runs (it always

@@ -218,19 +218,18 @@ func cmdPlace(args []string) error {
 		if err != nil {
 			return err
 		}
-		st, err := store.Build(lay, syn, 4096)
-		if err != nil {
-			return err
-		}
 		f, err := os.Create(*pages)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if _, err := st.WriteTo(f); err != nil {
+		if _, err := store.WriteShard(f, lay, syn, 4096, 0, 1); err != nil {
 			return err
 		}
-		fmt.Printf("page images saved to %s (%d pages)\n", *pages, st.NumPages())
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Printf("page images saved to %s (%d pages)\n", *pages, lay.NumPages())
 	}
 	s := lay.ComputeStats()
 	fmt.Printf("strategy:          %s (r=%.0f%%)\n", *strategy, *ratio*100)

@@ -1,66 +1,41 @@
 package hypergraph
 
-import "sort"
+import "slices"
 
 // CoOccurrence counts, for a base vertex, how often every other vertex
 // appears in the same hyperedge as the base. It is the primitive behind
 // replica-cluster construction (§5.3 step 4) and FPR cluster refill (§5.2).
+// Replication calls it once per candidate base, which makes it most of a
+// large Open: the tally is a dense array and the ranking a sort of packed
+// integers, with nothing hashed and no comparison closure.
 type CoOccurrence struct {
 	g *Graph
-	// counts is reused across calls to avoid reallocating an N-sized map;
-	// touched records which entries must be reset.
-	counts  map[Vertex]int
+	// counts[v] is v's tally in the call in progress and zero between
+	// calls; touched lists the entries to reset. -1 marks a member of
+	// TopForSet's set for the span of that call.
+	counts  []int32
 	touched []Vertex
+	ranked  []uint64 // finish's sort scratch
 }
 
 // NewCoOccurrence returns a counter bound to g.
 func NewCoOccurrence(g *Graph) *CoOccurrence {
-	return &CoOccurrence{g: g, counts: make(map[Vertex]int)}
+	return &CoOccurrence{g: g, counts: make([]int32, g.NumVertices())}
 }
 
 // Top returns up to n vertices that co-occur most frequently with base,
 // excluding base itself and any vertex for which exclude returns true
-// (exclude may be nil). Ties break toward the lower vertex id so results
-// are deterministic. The returned slice is freshly allocated.
+// (exclude may be nil; it must not depend on when or how often it is
+// called). Ties break toward the lower vertex id so results are
+// deterministic. The returned slice is freshly allocated.
 func (c *CoOccurrence) Top(base Vertex, n int, exclude func(Vertex) bool) []Vertex {
 	if n <= 0 {
 		return nil
 	}
-	for _, e := range c.g.IncidentEdges(base) {
-		for _, v := range c.g.Edge(e) {
-			if v == base {
-				continue
-			}
-			if _, ok := c.counts[v]; !ok {
-				c.touched = append(c.touched, v)
-			}
-			c.counts[v]++
-		}
-	}
-	cands := make([]Vertex, 0, len(c.touched))
-	for _, v := range c.touched {
-		if exclude == nil || !exclude(v) {
-			cands = append(cands, v)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		ci, cj := c.counts[cands[i]], c.counts[cands[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		return cands[i] < cands[j]
-	})
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	out := make([]Vertex, len(cands))
-	copy(out, cands)
-	// Reset scratch state for the next call.
-	for _, v := range c.touched {
-		delete(c.counts, v)
-	}
-	c.touched = c.touched[:0]
-	return out
+	c.counts[base] = -1
+	c.tally(base)
+	c.counts[base] = 0
+	return c.finish(n, exclude)
 }
 
 // TopForSet returns up to n vertices co-occurring most frequently with any
@@ -71,44 +46,54 @@ func (c *CoOccurrence) TopForSet(set []Vertex, n int, exclude func(Vertex) bool)
 	if n <= 0 {
 		return nil
 	}
-	inSet := make(map[Vertex]struct{}, len(set))
 	for _, v := range set {
-		inSet[v] = struct{}{}
+		c.counts[v] = -1
 	}
 	for _, base := range set {
-		for _, e := range c.g.IncidentEdges(base) {
-			for _, v := range c.g.Edge(e) {
-				if _, ok := inSet[v]; ok {
-					continue
-				}
-				if _, ok := c.counts[v]; !ok {
-					c.touched = append(c.touched, v)
-				}
-				c.counts[v]++
+		c.tally(base)
+	}
+	for _, v := range set {
+		c.counts[v] = 0
+	}
+	return c.finish(n, exclude)
+}
+
+// tally adds one to every unmarked vertex of every edge incident to base.
+func (c *CoOccurrence) tally(base Vertex) {
+	for _, e := range c.g.IncidentEdges(base) {
+		for _, v := range c.g.Edge(e) {
+			switch c.counts[v] {
+			case -1:
+				continue
+			case 0:
+				c.touched = append(c.touched, v)
 			}
+			c.counts[v]++
 		}
 	}
-	cands := make([]Vertex, 0, len(c.touched))
+}
+
+// finish ranks the tallied vertices — count descending, id ascending —
+// returns the first n that exclude lets through, and zeroes the scratch
+// for the next call.
+func (c *CoOccurrence) finish(n int, exclude func(Vertex) bool) []Vertex {
+	ranked := c.ranked[:0]
 	for _, v := range c.touched {
-		if exclude == nil || !exclude(v) {
-			cands = append(cands, v)
+		// The complemented count in the high word sorts the larger count
+		// first; equal counts fall to the id in the low word.
+		ranked = append(ranked, uint64(^uint32(c.counts[v]))<<32|uint64(v))
+		c.counts[v] = 0
+	}
+	c.touched, c.ranked = c.touched[:0], ranked
+	slices.Sort(ranked)
+	out := make([]Vertex, 0, min(n, len(ranked)))
+	for _, r := range ranked {
+		if len(out) == n {
+			break
+		}
+		if v := Vertex(r); exclude == nil || !exclude(v) {
+			out = append(out, v)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		ci, cj := c.counts[cands[i]], c.counts[cands[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		return cands[i] < cands[j]
-	})
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	out := make([]Vertex, len(cands))
-	copy(out, cands)
-	for _, v := range c.touched {
-		delete(c.counts, v)
-	}
-	c.touched = c.touched[:0]
 	return out
 }

@@ -3,6 +3,8 @@ package hypergraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -238,6 +240,93 @@ func TestCoOccurrenceProperty(t *testing.T) {
 				t.Fatalf("Top not sorted by count: %v", got)
 			}
 			prev = counts[v]
+		}
+	}
+}
+
+// refTop and refTopForSet are the implementation CoOccurrence had before it
+// went dense — a map tally, exclude applied up front, sort.Slice by (count
+// descending, id ascending) — kept as the reference for the differential
+// test below.
+func refTop(g *Graph, base Vertex, n int, exclude func(Vertex) bool) []Vertex {
+	return refTopForSet(g, []Vertex{base}, n, exclude)
+}
+
+func refTopForSet(g *Graph, set []Vertex, n int, exclude func(Vertex) bool) []Vertex {
+	if n <= 0 {
+		return nil
+	}
+	counts := map[Vertex]int{}
+	for _, base := range set {
+		for _, e := range g.IncidentEdges(base) {
+			for _, v := range g.Edge(e) {
+				if !slices.Contains(set, v) {
+					counts[v]++
+				}
+			}
+		}
+	}
+	cands := []Vertex{}
+	for v := range counts {
+		if exclude == nil || !exclude(v) {
+			cands = append(cands, v)
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if ci, cj := counts[cands[i]], counts[cands[j]]; ci != cj {
+			return ci > cj
+		}
+		return cands[i] < cands[j]
+	})
+	return cands[:min(n, len(cands))]
+}
+
+// TestCoOccurrenceMatchesReference: over random graphs, bases, sets (with
+// repeated members), limits and exclude functions, one CoOccurrence reused
+// across every call returns exactly what the map-and-closure reference
+// returns — same vertices, same order — so placement built on it is
+// unchanged to the byte.
+func TestCoOccurrenceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 200; iter++ {
+		n := 2 + rng.Intn(60)
+		queries := make([][]Vertex, 1+rng.Intn(80))
+		for i := range queries {
+			q := make([]Vertex, 1+rng.Intn(8))
+			for j := range q {
+				q[j] = Vertex(rng.Intn(n))
+			}
+			queries[i] = q
+		}
+		g := mustGraph(t, n, queries)
+		c := NewCoOccurrence(g)
+		for call := 0; call < 20; call++ {
+			var exclude func(Vertex) bool
+			switch salt := Vertex(rng.Intn(7)); rng.Intn(4) {
+			case 1:
+				exclude = func(v Vertex) bool { return (v+salt)%3 == 0 }
+			case 2:
+				exclude = func(v Vertex) bool { return v > salt*8 }
+			case 3:
+				exclude = func(Vertex) bool { return true }
+			}
+			limit := rng.Intn(n + 2)
+			if rng.Intn(2) == 0 {
+				base := Vertex(rng.Intn(n))
+				got, want := c.Top(base, limit, exclude), refTop(g, base, limit, exclude)
+				if !slices.Equal(got, want) {
+					t.Fatalf("graph %d: Top(%d, %d) = %v, reference %v", iter, base, limit, got, want)
+				}
+				continue
+			}
+			set := make([]Vertex, 1+rng.Intn(5))
+			for i := range set {
+				set[i] = Vertex(rng.Intn(n))
+			}
+			got, want := c.TopForSet(set, limit, exclude), refTopForSet(g, set, limit, exclude)
+			if !slices.Equal(got, want) {
+				t.Fatalf("graph %d: TopForSet(%v, %d) = %v, reference %v", iter, set, limit, got, want)
+			}
 		}
 	}
 }

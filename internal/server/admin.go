@@ -54,15 +54,15 @@ func WithShardFailTolerance(frac float64) Option {
 	return func(h *Handler) { h.shardTolerance = frac }
 }
 
-// nodeHealth is one evaluation of the readiness verdict, with per-shard
-// detail when the backend tracks it.
+// nodeHealth is one evaluation of the readiness verdict.
 type nodeHealth struct {
 	ready  bool
 	rate   float64 // global rolling read-fault rate
 	events int64   // reads the global window covers
-	// Shard detail; Shards is nil on single-device backends (the legacy
-	// global-window verdict applies there unchanged).
-	shards     []ssd.ShardHealthInfo
+	// sharded reports a backend that tracks per-shard health; the fields
+	// below are zero without it (the legacy global-window verdict applies
+	// there unchanged).
+	sharded    bool
 	deadShards int
 	liveRate   float64 // fault rate pooled over live shards only
 	liveEvents int64
@@ -73,7 +73,11 @@ type nodeHealth struct {
 // dead shards below the tolerance no longer flip the node — their faults
 // are excluded and readiness asks (a) are too many shards dead, and
 // (b) are the *surviving* shards faulting beyond the threshold.
-func (h *Handler) nodeHealth() nodeHealth {
+//
+// Every lookup asks for the verdict (admission), so computing it allocates
+// nothing; /healthz, which prints the per-shard detail the verdict was
+// reached from, passes a slice to collect it in.
+func (h *Handler) nodeHealth(detail *[]ssd.ShardHealthInfo) nodeHealth {
 	var nh nodeHealth
 	nh.rate, nh.events = h.window.Rate()
 	be := h.curBackend()
@@ -82,12 +86,14 @@ func (h *Handler) nodeHealth() nodeHealth {
 		nh.ready = nh.events < h.minEvents || nh.rate <= h.threshold
 		return nh
 	}
+	nh.sharded = true
 	n := be.NumShards()
-	nh.shards = make([]ssd.ShardHealthInfo, n)
 	var liveFaults, liveReads float64
 	for i := 0; i < n; i++ {
 		info := hr.ShardHealth(i)
-		nh.shards[i] = info
+		if detail != nil {
+			*detail = append(*detail, info)
+		}
 		if !info.State.Live() {
 			nh.deadShards++
 			continue

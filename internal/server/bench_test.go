@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"maxembed/internal/serving"
+	"maxembed/internal/ssd"
 )
 
 // BenchmarkHandlerLookup measures the full isolated handler path — decode,
@@ -89,13 +90,20 @@ func BenchmarkServerLookupCoalesced(b *testing.B) {
 // reply carry lives in pooled storage (body, keys, lease, response
 // buffer); what is left belongs to the harness (httptest's request and
 // recorder, 16) and to net/http's header map (the Content-Length value).
+// The constant is the same over a backend that tracks shard health — every
+// file backend does, at any shard count — as over a bare device: the
+// admission verdict each lookup asks for materialises no per-shard detail.
 func TestHandlerLookupSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector")
 	}
-	s := newTestStack(t, 0.2, nil)
-	h := New(s.eng, s.dev, WithoutCoalescing())
-	const budget = 24
+	arr, err := ssd.NewArray(ssd.P5800X, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	device := newTestStack(t, 0.2, nil)
+	tracked := newTestStack(t, 0.2, func(c *serving.Config) { c.Device, c.Backend = nil, arr })
+	const budget = 21
 	for _, keys := range []int{2, 40} {
 		q := make([]uint32, keys)
 		for i := range q {
@@ -106,21 +114,26 @@ func TestHandlerLookupSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		payload := string(body)
-		post := func() {
-			req := httptest.NewRequest(http.MethodPost, "/v1/lookup", strings.NewReader(payload))
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("status %d", rec.Code)
+		for name, h := range map[string]*Handler{
+			"bare device":  New(device.eng, device.dev, WithoutCoalescing()),
+			"shard health": New(tracked.eng, arr, WithoutCoalescing()),
+		} {
+			post := func() {
+				req := httptest.NewRequest(http.MethodPost, "/v1/lookup", strings.NewReader(payload))
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("status %d", rec.Code)
+				}
 			}
-		}
-		for i := 0; i < 50; i++ {
-			post()
-		}
-		allocs := testing.AllocsPerRun(200, post)
-		t.Logf("handler allocs/op: %.1f for %d keys", allocs, keys)
-		if allocs > budget {
-			t.Errorf("handler allocates %.1f/op for %d keys, budget %d", allocs, keys, budget)
+			for i := 0; i < 50; i++ {
+				post()
+			}
+			allocs := testing.AllocsPerRun(200, post)
+			t.Logf("handler allocs/op: %.1f for %d keys, %s", allocs, keys, name)
+			if allocs > budget {
+				t.Errorf("handler allocates %.1f/op for %d keys over a %s backend, budget %d", allocs, keys, name, budget)
+			}
 		}
 	}
 }

@@ -288,7 +288,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // On a single-device backend the verdict is the legacy global-window one;
 // with per-shard health it is shard-aware (see nodeHealth).
 func (h *Handler) healthy() (rate float64, events int64, ok bool) {
-	nh := h.nodeHealth()
+	nh := h.nodeHealth(nil)
 	return nh.rate, nh.events, nh.ready
 }
 
@@ -775,7 +775,7 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 	resp.Recovery.FailedKeys = rec.FailedKeys
 	resp.Recovery.ShardReroutes = rec.ShardReroutes
 	resp.Recovery.StoreFallbacks = rec.StoreFallbacks
-	nh := h.nodeHealth()
+	nh := h.nodeHealth(nil)
 	resp.Health.Ready = nh.ready
 	resp.Health.ErrorRate = nh.rate
 	resp.Health.WindowEvents = nh.events
@@ -953,10 +953,10 @@ func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE maxembed_failed_keys_total counter\nmaxembed_failed_keys_total %d\n", rec.FailedKeys)
 	fmt.Fprintf(w, "# TYPE maxembed_shard_reroutes_total counter\nmaxembed_shard_reroutes_total %d\n", rec.ShardReroutes)
 	fmt.Fprintf(w, "# TYPE maxembed_store_fallbacks_total counter\nmaxembed_store_fallbacks_total %d\n", rec.StoreFallbacks)
-	nh := h.nodeHealth()
+	nh := h.nodeHealth(nil)
 	fmt.Fprintf(w, "# TYPE maxembed_read_error_rate gauge\nmaxembed_read_error_rate %g\n", nh.rate)
 	fmt.Fprintf(w, "# TYPE maxembed_ready gauge\nmaxembed_ready %d\n", bit(nh.ready))
-	if nh.shards != nil {
+	if nh.sharded {
 		fmt.Fprintf(w, "# TYPE maxembed_dead_shards gauge\nmaxembed_dead_shards %d\n", nh.deadShards)
 		fmt.Fprintf(w, "# TYPE maxembed_live_error_rate gauge\nmaxembed_live_error_rate %g\n", nh.liveRate)
 	}
@@ -1025,7 +1025,8 @@ func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request) {
 // and the body carries per-shard fault fractions beside the global
 // window so an operator can tell a sick drive from a sick node.
 func (h *Handler) health(w http.ResponseWriter, _ *http.Request) {
-	nh := h.nodeHealth()
+	var shards []ssd.ShardHealthInfo
+	nh := h.nodeHealth(&shards)
 	if !nh.ready {
 		w.Header().Set("Retry-After", fmt.Sprint(h.retryAfterSec))
 		body := map[string]any{
@@ -1033,20 +1034,20 @@ func (h *Handler) health(w http.ResponseWriter, _ *http.Request) {
 			"error_rate":    nh.rate,
 			"window_events": nh.events,
 		}
-		if nh.shards != nil {
-			body["shards"] = shardHealthEntries(nh.shards)
+		if nh.sharded {
+			body["shards"] = shardHealthEntries(shards)
 			body["dead_shards"] = nh.deadShards
 			body["live_error_rate"] = nh.liveRate
 		}
 		writeJSONStatus(w, http.StatusServiceUnavailable, body)
 		return
 	}
-	if nh.shards != nil {
+	if nh.sharded {
 		writeJSON(w, map[string]any{
 			"status":          "ok",
 			"error_rate":      nh.rate,
 			"window_events":   nh.events,
-			"shards":          shardHealthEntries(nh.shards),
+			"shards":          shardHealthEntries(shards),
 			"dead_shards":     nh.deadShards,
 			"live_error_rate": nh.liveRate,
 		})

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -24,6 +25,12 @@ import (
 //
 // Striping matches Array and store.Sharded: global page p lives in file
 // p mod n at local index p div n.
+//
+// The shard files are the only copy of the table, so the backend is also
+// the engine's page source (Dim, PageSize, ReadPage): what the engine reads
+// outside a lookup's batch — pinned keys, cache warming, the last-resort
+// read-through of a key's home page — is a synchronous read of the owning
+// shard file, slot checksums and all.
 //
 // Virtual-time contract: each FileQueue anchors the worker's virtual clock
 // to the wall clock at the first submit of a batch, so issue/completion
@@ -52,8 +59,14 @@ type FileBackend struct {
 	frontier atomic.Int64
 
 	numPages  int
+	closed    atomic.Bool
 	closeOnce sync.Once
 }
+
+// ErrClosed is the outcome of every read asked of a FileBackend after
+// Close: a queue pair's Submit completes with it at once, through the
+// normal completion path, and ReadPage returns it.
+var ErrClosed = errors.New("ssd: file backend closed")
 
 // FileBackendConfig parameterizes NewFileBackend; the zero value works.
 type FileBackendConfig struct {
@@ -185,7 +198,7 @@ func (b *FileBackend) getBuf(shard int) *PageBuf {
 	case buf := <-b.free[shard]:
 		return buf
 	default:
-		return newPageBuf(b.files[shard].ReadBufSize(), b.free[shard])
+		return &PageBuf{data: b.files[shard].NewReadBuf(), home: b.free[shard]}
 	}
 }
 
@@ -224,12 +237,43 @@ func (b *FileBackend) Direct() bool { return b.files[0].Direct() }
 // NumPages returns the global page count across shard files.
 func (b *FileBackend) NumPages() int { return b.numPages }
 
+// Dim returns the embedding dimension of the shard files' slots.
+func (b *FileBackend) Dim() int { return b.files[0].Dim() }
+
+// PageSize returns the page image size in bytes.
+func (b *FileBackend) PageSize() int { return b.files[0].PageSize() }
+
+// ReadPage reads global page p from its shard file into dst (at least
+// PageSize bytes), synchronously, outside any queue pair. It is a device
+// read like any other: the shard's statistics, latency histogram and
+// health window see it.
+func (b *FileBackend) ReadPage(p PageID, dst []byte) error {
+	if b.closed.Load() {
+		return ErrClosed
+	}
+	// Checked here so that only reads the device is asked for are counted.
+	if int(p) >= b.numPages {
+		return fmt.Errorf("ssd: page %d out of range (%d pages)", p, b.numPages)
+	}
+	if len(dst) < b.PageSize() {
+		return fmt.Errorf("ssd: buffer of %d bytes, need %d", len(dst), b.PageSize())
+	}
+	shard, local := b.ShardOf(p)
+	start := b.wallNS()
+	err := b.files[shard].ReadPage(local, dst)
+	busy := b.wallNS() - start
+	b.shards[shard].recordExternalRead(busy, err, false)
+	b.hists[shard].observe(busy)
+	return err
+}
+
 // Close tears down every ring, stops the pread pool, and releases the
 // shard files. The backend must be idle: no queue pair may have undrained
-// submissions.
+// submissions. Reads asked of it afterwards fail with ErrClosed.
 func (b *FileBackend) Close() error {
 	var err error
 	b.closeOnce.Do(func() {
+		b.closed.Store(true)
 		if b.rings != nil {
 			b.rings.close()
 		}
@@ -574,20 +618,19 @@ func (q *FileQueue) NumShards() int { return len(q.inflight) }
 // shard's freelist and stamps the read into the batch's ring — no syscall
 // — or enqueues it on the shard's pread pool. A full ring is flushed and
 // partly reaped, a full pool channel blocks: real backpressure in place of
-// the simulator's virtual queue-full wait.
+// the simulator's virtual queue-full wait. On a closed backend the read
+// completes here, with ErrClosed and no buffer.
 func (q *FileQueue) Submit(page PageID, nowNS int64) int64 {
 	shard, local := q.fb.ShardOf(page)
 	submitWall := q.fb.wallNS()
+	closed := q.fb.closed.Load()
 	if q.pending == 0 {
 		q.anchorWall = submitWall
 		q.anchorVirt = nowNS
-		if q.fb.rings != nil {
+		if q.fb.rings != nil && !closed {
 			q.ring = q.fb.rings.get()
 		}
 	}
-	buf := q.fb.getBuf(shard)
-	buf.rc.Store(1)
-	buf.img = nil
 	issue := q.virtOf(submitWall)
 	if issue < nowNS {
 		issue = nowNS
@@ -595,13 +638,19 @@ func (q *FileQueue) Submit(page PageID, nowNS int64) int64 {
 	req := fileReq{
 		global:     page,
 		local:      local,
-		buf:        buf,
 		out:        &q.inbox,
 		submitWall: submitWall,
 		submitVirt: issue,
 	}
-	if q.ring == nil || !q.ringSubmit(shard, req) {
-		q.fb.preadPool()[shard].submit(req)
+	if closed {
+		q.complete(shard, req, submitWall, ErrClosed)
+	} else {
+		req.buf = q.fb.getBuf(shard)
+		req.buf.rc.Store(1)
+		req.buf.img = nil
+		if q.ring == nil || !q.ringSubmit(shard, req) {
+			q.fb.preadPool()[shard].submit(req)
+		}
 	}
 	q.pending++
 	q.inflight[shard]++
@@ -609,6 +658,22 @@ func (q *FileQueue) Submit(page PageID, nowNS int64) int64 {
 		q.high[shard] = q.inflight[shard]
 	}
 	return issue
+}
+
+// complete records the outcome of a read that finished on the submitting
+// goroutine — reaped from the ring, or failed before it reached an
+// executor — and queues its completion for the Drain in progress (or to
+// come).
+func (q *FileQueue) complete(shard int, req fileReq, end int64, err error) {
+	q.fb.shards[shard].recordExternalRead(end-req.submitWall, err, false)
+	q.fb.hists[shard].observe(end - req.submitWall)
+	q.scratch = append(q.scratch, fileComp{
+		global:       req.global,
+		buf:          req.buf,
+		err:          err,
+		submitVirt:   req.submitVirt,
+		completeWall: end,
+	})
 }
 
 // ShardOutstanding implements QueuePair: submitted-not-drained commands on

@@ -2,11 +2,13 @@ package ssd
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"maxembed/internal/embedding"
 	"maxembed/internal/layout"
@@ -118,6 +120,19 @@ func readAllPages(t *testing.T, fb *FileBackend, sh *store.Sharded) {
 			last = c.CompleteNS
 			if c.CompleteNS <= c.SubmitNS {
 				t.Fatalf("page %d: completion %d not after submit %d", c.Page, c.CompleteNS, c.SubmitNS)
+			}
+			if fb.Direct() {
+				// One device block per page: the read was issued at an
+				// aligned offset, page-sized, into a page-sized aligned buffer.
+				shard, local := fb.ShardOf(c.Page)
+				off, span, pageOff, err := fb.files[shard].PageSpan(local)
+				align := store.DirectIOAlign()
+				if err != nil || off%int64(align) != 0 || span != fb.PageSize() || pageOff != 0 {
+					t.Fatalf("page %d: read geometry (%d, %d, %d), err %v", c.Page, off, span, pageOff, err)
+				}
+				if d := c.Buf.data; len(d) != span || uintptr(unsafe.Pointer(&d[0]))%uintptr(align) != 0 {
+					t.Fatalf("page %d: %d-byte completion buffer at %p", c.Page, len(d), &d[0])
+				}
 			}
 			if err := sh.ReadPage(c.Page, img); err != nil {
 				t.Fatal(err)
@@ -384,6 +399,94 @@ func TestFileBackendReadErrors(t *testing.T) {
 		}
 		if st := fb.Stats(); st.Errors != 2 || st.Reads != 3 {
 			t.Errorf("%s: stats %+v, want 3 reads with 2 errors", fb.ExecutorKind(), st)
+		}
+	}
+}
+
+// TestFileBackendReadPage: the backend is a page source over the only copy
+// of the table. A synchronous ReadPage returns the shard file's bytes for
+// every global page, and is accounted as the device read it is: one read of
+// one page's bytes, on the owning shard.
+func TestFileBackendReadPage(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		fb, sh, _ := newTestFileBackend(t, shards, FileBackendConfig{})
+		if fb.Dim() != sh.Dim() || fb.PageSize() != sh.PageSize() {
+			t.Fatalf("shards=%d: dim %d page size %d, want %d and %d", shards, fb.Dim(), fb.PageSize(), sh.Dim(), sh.PageSize())
+		}
+		got, want := make([]byte, fb.PageSize()), make([]byte, sh.PageSize())
+		for p := PageID(0); int(p) < fb.NumPages(); p++ {
+			if err := fb.ReadPage(p, got); err != nil {
+				t.Fatalf("shards=%d page %d: %v", shards, p, err)
+			}
+			if err := sh.ReadPage(p, want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("shards=%d page %d: bytes differ from the built store", shards, p)
+			}
+		}
+		if err := fb.ReadPage(PageID(fb.NumPages()), got); err == nil {
+			t.Errorf("shards=%d: page past the end read", shards)
+		}
+		if err := fb.ReadPage(0, got[:10]); err == nil {
+			t.Errorf("shards=%d: short buffer accepted", shards)
+		}
+		st := fb.Stats()
+		if pages := int64(fb.NumPages()); st.Reads != pages || st.Errors != 0 || st.BytesRead != pages*int64(fb.PageSize()) {
+			t.Errorf("shards=%d: stats %+v after %d page reads", shards, st, pages)
+		}
+		for s, ss := range fb.ShardStats() {
+			if ss.Reads == 0 || fb.ShardReadLatency(s).Count != ss.Reads {
+				t.Errorf("shards=%d: shard %d recorded %d reads, %d latencies", shards, s, ss.Reads, fb.ShardReadLatency(s).Count)
+			}
+		}
+	}
+}
+
+// TestFileBackendClosed: a read asked of a closed backend — through a queue
+// pair that served before the Close, through a fresh one, or synchronously
+// — fails at once with ErrClosed and no buffer instead of blocking in Drain
+// or sending on the pread pool's closed channel, and counts as a read
+// error. Run under -race with a short -timeout.
+func TestFileBackendClosed(t *testing.T) {
+	for _, forcePread := range []bool{false, true} {
+		fb, _, _ := newTestFileBackend(t, 2, FileBackendConfig{ForcePread: forcePread})
+		kind := fb.ExecutorKind()
+		old := fb.NewQueuePair()
+		old.Submit(0, 0)
+		_, comps := old.Drain(0)
+		if len(comps) != 1 || comps[0].Err != nil {
+			t.Fatalf("%s: batch before Close: %+v", kind, comps)
+		}
+		comps[0].Buf.Release()
+		if err := fb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fb.Reset()
+		for name, qp := range map[string]QueuePair{"used": old, "fresh": fb.NewQueuePair()} {
+			for round := 0; round < 2; round++ {
+				for p := PageID(0); p < 5; p++ {
+					qp.Submit(p, 0)
+				}
+				if n := qp.Outstanding(0); n != 5 {
+					t.Errorf("%s, %s queue pair: %d outstanding, want 5", kind, name, n)
+				}
+				_, comps := qp.Drain(0)
+				if len(comps) != 5 {
+					t.Fatalf("%s, %s queue pair: drained %d completions, submitted 5", kind, name, len(comps))
+				}
+				for _, c := range comps {
+					if !errors.Is(c.Err, ErrClosed) || c.Buf != nil {
+						t.Errorf("%s, %s queue pair, page %d: err %v, buf %v", kind, name, c.Page, c.Err, c.Buf)
+					}
+				}
+			}
+		}
+		if err := fb.ReadPage(0, make([]byte, fb.PageSize())); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s: ReadPage after Close: %v", kind, err)
+		}
+		if st := fb.Stats(); st.Reads != 20 || st.Errors != 20 {
+			t.Errorf("%s: stats %+v, want 20 reads, all errors", kind, st)
 		}
 	}
 }

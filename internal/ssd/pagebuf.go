@@ -3,9 +3,11 @@ package ssd
 import "sync/atomic"
 
 // PageBuf is a reference-counted completion buffer of a real-I/O backend:
-// the aligned window one page read lands in, plus the page-image view
-// within it. Buffers circulate through a per-shard freelist sized to the
-// queue depth, so the steady-state read path allocates nothing.
+// the buffer one page read lands in — one page, aligned when the file is
+// O_DIRECT; the enclosing aligned window for a page size that is not a
+// multiple of the alignment — plus the page-image view within it. Buffers
+// circulate through a per-shard freelist sized to the queue depth, so the
+// steady-state read path allocates nothing.
 //
 // Ownership protocol (DESIGN.md §17): the backend fills the buffer and
 // hands exactly one reference to the drainer via Completion.Buf. Whoever
@@ -17,15 +19,10 @@ import "sync/atomic"
 // correct, just not free — so bursts beyond the depth degrade gracefully
 // instead of deadlocking.
 type PageBuf struct {
-	data []byte // full read window (aligned when the file is O_DIRECT)
+	data []byte // what the read fills (store.FileStore.NewReadBuf)
 	img  []byte // page view within data, set by a successful read
 	rc   atomic.Int32
 	home chan *PageBuf
-}
-
-// newPageBuf returns an unreferenced buffer homed to the given freelist.
-func newPageBuf(window int, home chan *PageBuf) *PageBuf {
-	return &PageBuf{data: make([]byte, window), home: home}
 }
 
 // Bytes returns the page image of the completed read. It aliases the

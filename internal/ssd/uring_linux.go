@@ -304,7 +304,7 @@ func (q *FileQueue) ringSubmit(shard int, req fileReq) bool {
 	r := q.ring
 	off, span, pageOff, err := q.fb.files[shard].PageSpan(req.local)
 	if err != nil {
-		q.ringComplete(shard, req, q.fb.wallNS(), err)
+		q.complete(shard, req, q.fb.wallNS(), err)
 		return true
 	}
 	for len(r.freeSlots) == 0 {
@@ -379,7 +379,7 @@ func (q *FileQueue) reap() {
 		if err = fs.CheckSpanRead(s.req.local, s.pageOff, got, err); err == nil {
 			s.req.buf.img = s.req.buf.data[s.pageOff : s.pageOff+fs.PageSize()]
 		}
-		q.ringComplete(s.shard, s.req, end, err)
+		q.complete(s.shard, s.req, end, err)
 	}
 	atomic.StoreUint32(r.cqHead, head)
 }
@@ -397,23 +397,9 @@ func (q *FileQueue) ringFail(errno syscall.Errno) {
 	for i := range r.slots {
 		if s := r.slots[i]; s.req.buf != nil {
 			s.req.buf = nil
-			q.ringComplete(s.shard, s.req, end, err)
+			q.complete(s.shard, s.req, end, err)
 		}
 	}
 	q.ring = nil
 	q.fb.rings.retire(r)
-}
-
-// ringComplete records one read's outcome and queues its completion for
-// the Drain in progress (or to come).
-func (q *FileQueue) ringComplete(shard int, req fileReq, end int64, err error) {
-	q.fb.shards[shard].recordExternalRead(end-req.submitWall, err, false)
-	q.fb.hists[shard].observe(end - req.submitWall)
-	q.scratch = append(q.scratch, fileComp{
-		global:       req.global,
-		buf:          req.buf,
-		err:          err,
-		submitVirt:   req.submitVirt,
-		completeWall: end,
-	})
 }

@@ -3,6 +3,7 @@
 package ssd
 
 import (
+	"errors"
 	"os"
 	"runtime"
 	"strings"
@@ -65,6 +66,15 @@ func TestFileBackendRingLifetime(t *testing.T) {
 	}
 	if n := countFDs(t); n != fdsBefore {
 		t.Errorf("second Close changed the descriptor count to %d", n)
+	}
+	// A batch on the closed backend fails at once and mints no ring.
+	late := fb.NewQueuePair()
+	late.Submit(0, 0)
+	if _, comps := late.Drain(0); len(comps) != 1 || !errors.Is(comps[0].Err, ErrClosed) {
+		t.Errorf("batch after Close: %+v", comps)
+	}
+	if n := countFDs(t); n != fdsBefore || fb.rings.minted != 0 {
+		t.Errorf("batch after Close: %d descriptors open, %d rings in existence", n, fb.rings.minted)
 	}
 }
 

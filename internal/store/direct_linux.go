@@ -16,10 +16,9 @@ import (
 // double-caching in the kernel would waste memory and distort measurements.
 //
 // O_DIRECT demands sector-aligned offsets, sizes, and buffer addresses.
-// The store's header precedes the page data, so page offsets in the file
-// are not sector-aligned; reads therefore cover the aligned window
-// enclosing the page and copy the page out — the page-aligned-control
-// awkwardness direct I/O imposes, handled here once.
+// The header owns the file's first block, so pages whose size is a multiple
+// of the alignment are read as they are; any other page size is read
+// through the aligned window enclosing the page (FileStore.PageSpan).
 //
 // Filesystems without O_DIRECT support (notably tmpfs) make Open or the
 // first read fail with EINVAL; callers should fall back to OpenFile.
@@ -40,11 +39,8 @@ func OpenFileDirect(path string) (*FileStore, error) {
 		pageSize: plain.pageSize,
 		dim:      plain.dim,
 		numPages: plain.numPages,
-		dataOff:  plain.dataOff,
 		direct:   true,
 	}
-	// Each pooled buffer covers the aligned window of one page: up to one
-	// alignment block of slack on each side.
 	s.bufs.New = func() any {
 		b := alignedBuf(s.ReadBufSize())
 		return &b
@@ -60,4 +56,3 @@ func OpenFileDirect(path string) (*FileStore, error) {
 	}
 	return s, nil
 }
-

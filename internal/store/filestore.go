@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -10,22 +9,21 @@ import (
 	"maxembed/internal/layout"
 )
 
-// FileStore serves page images from a file written by Store.WriteTo,
-// reading pages on demand with page-aligned ReadAt calls instead of
-// holding the table in memory — the deployment shape the paper assumes,
-// where the embedding table lives on the SSD and only the indexes are
-// DRAM-resident. FileStore is safe for concurrent use.
+// FileStore serves page images from a file written by WriteShard or
+// Store.WriteTo, reading pages on demand instead of holding the table in
+// memory — the deployment shape the paper assumes, where the embedding
+// table lives on the SSD and only the indexes are DRAM-resident. FileStore
+// is safe for concurrent use.
 //
-// Page fetch timing in the serving engine comes from the simulated device;
-// FileStore provides the payload path. OpenFile uses buffered reads; on
-// Linux, OpenFileDirect bypasses the OS page cache with O_DIRECT and the
-// aligned-buffer handling that requires.
+// OpenFile uses buffered reads; on Linux, OpenFileDirect bypasses the OS
+// page cache with O_DIRECT. The header owns the file's first block, so when
+// the page size is a multiple of the direct-I/O alignment — every
+// configuration the server runs — a page is exactly one aligned read.
 type FileStore struct {
 	f        *os.File
 	pageSize int
 	dim      int
 	numPages int
-	dataOff  int64
 	direct   bool // O_DIRECT descriptor; reads must be aligned
 	bufs     sync.Pool
 	refs     sync.Pool // *PageRef shells for ReadPageRef
@@ -37,32 +35,22 @@ func OpenFile(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, len(storeMagic)+12)
+	hdr := make([]byte, headerSize)
 	if _, err := io.ReadFull(f, hdr); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%w: header: %v", ErrBadStore, err)
 	}
-	if string(hdr[:len(storeMagic)]) != storeMagic {
+	s := &FileStore{f: f}
+	if s.pageSize, s.dim, s.numPages, err = parseHeader(hdr); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("%w: bad magic", ErrBadStore)
-	}
-	s := &FileStore{
-		f:        f,
-		pageSize: int(binary.LittleEndian.Uint32(hdr[len(storeMagic):])),
-		dim:      int(binary.LittleEndian.Uint32(hdr[len(storeMagic)+4:])),
-		numPages: int(binary.LittleEndian.Uint32(hdr[len(storeMagic)+8:])),
-		dataOff:  int64(len(hdr)),
-	}
-	if s.pageSize <= 0 || s.dim <= 0 || s.numPages < 0 {
-		f.Close()
-		return nil, fmt.Errorf("%w: implausible header %d/%d/%d", ErrBadStore, s.pageSize, s.dim, s.numPages)
+		return nil, err
 	}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if want := s.dataOff + int64(s.pageSize)*int64(s.numPages); st.Size() < want {
+	if want := s.pageOffset(layout.PageID(s.numPages)); st.Size() < want {
 		f.Close()
 		return nil, fmt.Errorf("%w: file holds %d bytes, need %d", ErrBadStore, st.Size(), want)
 	}
@@ -94,10 +82,22 @@ func (s *FileStore) Direct() bool { return s.direct }
 // it.
 func (s *FileStore) File() *os.File { return s.f }
 
-// ReadBufSize returns the buffer size ReadPageWindow requires: the aligned
-// window enclosing one page under O_DIRECT, or exactly one page otherwise.
+// pageOffset is the file offset of page p's first byte.
+func (s *FileStore) pageOffset(p layout.PageID) int64 {
+	return headerSize + int64(p)*int64(s.pageSize)
+}
+
+// windowed reports whether a page read must cover an aligned window wider
+// than the page: only under O_DIRECT, and only for a page size that is not
+// a multiple of the alignment.
+func (s *FileStore) windowed() bool {
+	return s.direct && s.pageSize%directIOAlign != 0
+}
+
+// ReadBufSize returns the buffer size ReadPageWindow requires: exactly one
+// page, or the aligned window enclosing one when reads are windowed.
 func (s *FileStore) ReadBufSize() int {
-	if s.direct {
+	if s.windowed() {
 		return s.pageSize + 2*directIOAlign
 	}
 	return s.pageSize
@@ -114,17 +114,16 @@ func (s *FileStore) NewReadBuf() []byte {
 
 // PageSpan returns the file-read geometry of page p: the offset and span
 // of the read to issue, and the page's offset within the returned bytes.
-// Under O_DIRECT the read covers the aligned window enclosing the page
-// (the store header precedes the data, so page offsets are never
-// sector-aligned); otherwise it is the page itself. External executors
-// (io_uring) use this to build submission entries without going through
-// ReadPageWindow.
+// That is the page itself — (headerSize + p×pageSize, pageSize, 0), one
+// device block per 4 KiB page — unless reads are windowed, when it is the
+// aligned window enclosing the page. External executors (io_uring) use this
+// to build submission entries without going through ReadPageWindow.
 func (s *FileStore) PageSpan(p layout.PageID) (off int64, span, pageOff int, err error) {
 	if int(p) >= s.numPages {
 		return 0, 0, 0, fmt.Errorf("store: page %d out of range (%d pages)", p, s.numPages)
 	}
-	want := s.dataOff + int64(p)*int64(s.pageSize)
-	if !s.direct {
+	want := s.pageOffset(p)
+	if !s.windowed() {
 		return want, s.pageSize, 0, nil
 	}
 	start := want &^ (directIOAlign - 1) // round down to alignment
@@ -168,37 +167,27 @@ func (s *FileStore) ReadPageWindow(p layout.PageID, buf []byte) ([]byte, error) 
 	return buf[pageOff : pageOff+s.pageSize], nil
 }
 
-// readPageDirect reads page p through the O_DIRECT descriptor into buf
-// (an aligned pool buffer) and returns the page's bytes within it.
-func (s *FileStore) readPageDirect(p layout.PageID, buf []byte) ([]byte, error) {
-	return s.ReadPageWindow(p, buf)
-}
-
 // ReadPage reads page p into dst (which must be at least PageSize bytes).
 //
-// dst is an arbitrary caller buffer, so under O_DIRECT the aligned window
-// read necessarily lands in a pooled aligned buffer and the page is copied
-// out — one copy, forced by the API shape. Callers that can consume the
-// page in place should use ReadPageRef (pooled, copy-free) instead.
+// dst is an arbitrary caller buffer, so under O_DIRECT the read lands in a
+// pooled aligned buffer and the page is copied out — one copy, forced by
+// the API shape. Callers that can consume the page in place should use
+// ReadPageRef (pooled, copy-free) instead.
 func (s *FileStore) ReadPage(p layout.PageID, dst []byte) error {
-	if int(p) >= s.numPages {
-		return fmt.Errorf("store: page %d out of range (%d pages)", p, s.numPages)
-	}
 	if len(dst) < s.pageSize {
 		return fmt.Errorf("store: buffer of %d bytes, need %d", len(dst), s.pageSize)
 	}
-	if s.direct {
-		bufp := s.bufs.Get().(*[]byte)
-		defer s.bufs.Put(bufp)
-		img, err := s.ReadPageWindow(p, *bufp)
-		if err != nil {
-			return err
-		}
-		copy(dst[:s.pageSize], img)
-		return nil
+	if !s.direct {
+		_, err := s.ReadPageWindow(p, dst)
+		return err
 	}
-	_, err := s.f.ReadAt(dst[:s.pageSize], s.dataOff+int64(p)*int64(s.pageSize))
-	return err
+	ref, err := s.ReadPageRef(p)
+	if err != nil {
+		return err
+	}
+	copy(dst, ref.Bytes())
+	ref.Release()
+	return nil
 }
 
 // PageRef is a pooled, zero-copy view of one page image read by
@@ -225,26 +214,12 @@ func (r *PageRef) Release() {
 	}
 }
 
-// ReadPageRef reads page p and returns a pooled view of its image without
-// copying it out of the read buffer — the fix for the direct path's
-// historical double-buffering (window read into a pooled aligned buffer,
-// then a copy to the caller). Steady-state calls allocate nothing; the
+// ReadPageRef reads page p into a pooled buffer and returns a view of its
+// image without copying it out. Steady-state calls allocate nothing; the
 // caller must Release the ref when done with Bytes.
 func (s *FileStore) ReadPageRef(p layout.PageID) (*PageRef, error) {
-	if int(p) >= s.numPages {
-		return nil, fmt.Errorf("store: page %d out of range (%d pages)", p, s.numPages)
-	}
 	bufp := s.bufs.Get().(*[]byte)
-	var (
-		img []byte
-		err error
-	)
-	if s.direct {
-		img, err = s.ReadPageWindow(p, *bufp)
-	} else {
-		img = (*bufp)[:s.pageSize]
-		_, err = s.f.ReadAt(img, s.dataOff+int64(p)*int64(s.pageSize))
-	}
+	img, err := s.ReadPageWindow(p, *bufp)
 	if err != nil {
 		s.bufs.Put(bufp)
 		return nil, err
@@ -261,23 +236,10 @@ func (s *FileStore) ReadPageRef(p layout.PageID) (*PageRef, error) {
 // the slot checksum, and appends the decoded vector to dst (see
 // Store.Extract).
 func (s *FileStore) Extract(p layout.PageID, k layout.Key, nSlots int, dst []float32) ([]float32, bool, error) {
-	if int(p) >= s.numPages {
-		return dst, false, fmt.Errorf("store: page %d out of range (%d pages)", p, s.numPages)
+	ref, err := s.ReadPageRef(p)
+	if err != nil {
+		return dst, false, err
 	}
-	bufp := s.bufs.Get().(*[]byte)
-	defer s.bufs.Put(bufp)
-	var img []byte
-	if s.direct {
-		var err error
-		img, err = s.readPageDirect(p, *bufp)
-		if err != nil {
-			return dst, false, err
-		}
-	} else {
-		img = (*bufp)[:s.pageSize]
-		if _, err := s.f.ReadAt(img, s.dataOff+int64(p)*int64(s.pageSize)); err != nil {
-			return dst, false, err
-		}
-	}
-	return ExtractFromImage(img, s.dim, k, nSlots, dst)
+	defer ref.Release()
+	return ExtractFromImage(ref.Bytes(), s.dim, k, nSlots, dst)
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"maxembed/internal/embedding"
@@ -28,47 +27,37 @@ func BuildSharded(lay *layout.Layout, syn *embedding.Synthesizer, pageSize, shar
 	if shards < 1 {
 		return nil, fmt.Errorf("store: sharded store needs at least 1 shard, got %d", shards)
 	}
-	dim := syn.Dim()
-	slot := embedding.SlotSize(dim)
-	if fit := embedding.PageCapacity(pageSize, dim); lay.Capacity > fit {
-		return nil, fmt.Errorf("store: layout capacity %d exceeds page fit %d (page %d B, dim %d)",
-			lay.Capacity, fit, pageSize, dim)
+	enc, err := newSlotEncoder(lay, syn, pageSize)
+	if err != nil {
+		return nil, err
 	}
 	numPages := lay.NumPages()
 	s := &Sharded{
 		shards:   make([]*Store, shards),
 		pageSize: pageSize,
-		dim:      dim,
+		dim:      syn.Dim(),
 		numPages: numPages,
 	}
-	// Shard i holds ceil((numPages - i) / shards) local pages.
 	for i := range s.shards {
-		local := (numPages - i + shards - 1) / shards
-		if local < 0 {
-			local = 0
-		}
+		local := shardPages(numPages, i, shards)
 		s.shards[i] = &Store{
 			pageSize: pageSize,
-			dim:      dim,
+			dim:      s.dim,
 			numPages: local,
 			data:     make([]byte, local*pageSize),
 		}
 	}
-	var vec []float32
 	for p, keys := range lay.Pages {
-		shard, local := p%shards, p/shards
-		data := s.shards[shard].data
-		base := local * pageSize
-		for i, k := range keys {
-			off := base + i*slot
-			binary.LittleEndian.PutUint32(data[off:], k)
-			vec = syn.Vector(k, vec[:0])
-			embedding.EncodeVector(vec, data[off+8:off+8])
-			sum := slotChecksum(data[off:off+4], data[off+8:off+slot])
-			binary.LittleEndian.PutUint32(data[off+4:], sum)
-		}
+		base := p / shards * pageSize
+		enc.encodePage(s.shards[p%shards].data[base:base+pageSize], keys)
 	}
 	return s, nil
+}
+
+// shardPages returns how many of numPages striped pages shard i of n holds:
+// ceil((numPages - i) / n), which i < n keeps non-negative.
+func shardPages(numPages, i, n int) int {
+	return (numPages - i + n - 1) / n
 }
 
 // PageSize returns the page size in bytes.

@@ -6,6 +6,15 @@
 // the paper's system; the per-slot key header and checksum make every slot
 // self-verifying, which the serving engine uses to detect payload
 // corruption and recover from an alternate replica page.
+//
+// Serialized (MXST3), a store is one header block followed by the raw page
+// images: page p sits at byte headerSize + p×pageSize. The header — magic,
+// page size, dim, page count, zero padding — owns a whole direct-I/O block
+// so that a page whose size is a multiple of the block is itself one
+// aligned device read. Build holds every image in memory (the simulator's
+// payload source, and the reference the tests compare against); WriteShard
+// streams the same bytes to a file one page at a time, which is how the
+// file backend gets a table that exists on the SSD only.
 package store
 
 import (
@@ -15,6 +24,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"maxembed/internal/embedding"
 	"maxembed/internal/layout"
@@ -82,33 +92,50 @@ type Store struct {
 	data     []byte // numPages × pageSize
 }
 
-// Build packs vectors from the synthesizer into page images per the layout.
-func Build(lay *layout.Layout, syn *embedding.Synthesizer, pageSize int) (*Store, error) {
+// slotEncoder packs a page's slots from the synthesizer: the one place the
+// [key | crc | vector] slot layout is written. Build, BuildSharded and
+// WriteShard all go through it, so an in-memory store and a streamed shard
+// file cannot differ.
+type slotEncoder struct {
+	syn  *embedding.Synthesizer
+	slot int
+	vec  []float32
+}
+
+// newSlotEncoder checks that the layout's pages fit pageSize-byte images of
+// syn's vectors.
+func newSlotEncoder(lay *layout.Layout, syn *embedding.Synthesizer, pageSize int) (*slotEncoder, error) {
 	dim := syn.Dim()
 	slot := embedding.SlotSize(dim)
+	if slot > pageSize { // PageCapacity never reports less than one slot
+		return nil, fmt.Errorf("store: a %d-byte slot (dim %d) does not fit a %d-byte page", slot, dim, pageSize)
+	}
 	if fit := embedding.PageCapacity(pageSize, dim); lay.Capacity > fit {
 		return nil, fmt.Errorf("store: layout capacity %d exceeds page fit %d (page %d B, dim %d)",
 			lay.Capacity, fit, pageSize, dim)
 	}
-	s := &Store{
-		pageSize: pageSize,
-		dim:      dim,
-		numPages: lay.NumPages(),
-		data:     make([]byte, lay.NumPages()*pageSize),
+	return &slotEncoder{syn: syn, slot: slot}, nil
+}
+
+// encodePage writes one slot per key at the front of img, which must be
+// zero beyond them.
+func (e *slotEncoder) encodePage(img []byte, keys []layout.Key) {
+	for i, k := range keys {
+		b := img[i*e.slot : (i+1)*e.slot]
+		binary.LittleEndian.PutUint32(b, k)
+		e.vec = e.syn.Vector(k, e.vec[:0])
+		embedding.EncodeVector(e.vec, b[8:8])
+		binary.LittleEndian.PutUint32(b[4:], slotChecksum(b[:4], b[8:]))
 	}
-	var vec []float32
-	for p, keys := range lay.Pages {
-		base := p * pageSize
-		for i, k := range keys {
-			off := base + i*slot
-			binary.LittleEndian.PutUint32(s.data[off:], k)
-			vec = syn.Vector(k, vec[:0])
-			embedding.EncodeVector(vec, s.data[off+8:off+8])
-			sum := slotChecksum(s.data[off:off+4], s.data[off+8:off+slot])
-			binary.LittleEndian.PutUint32(s.data[off+4:], sum)
-		}
+}
+
+// Build packs vectors from the synthesizer into page images per the layout.
+func Build(lay *layout.Layout, syn *embedding.Synthesizer, pageSize int) (*Store, error) {
+	sh, err := BuildSharded(lay, syn, pageSize, 1)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return sh.shards[0], nil
 }
 
 // PageSize returns the page size in bytes.
@@ -243,76 +270,114 @@ func (s *Store) VerifySlot(p layout.PageID, i int) (layout.Key, error) {
 	return k, nil
 }
 
-// storeMagic versions the serialized format; MXST2 added the per-slot
-// checksum (MXST1 stores cannot be verified and are rejected).
-const storeMagic = "MXST2\n"
+// storeMagic versions the serialized format. MXST2 added the per-slot
+// checksum; MXST3 moved the page data from byte 18 to the second block (see
+// the package comment). Older files are rejected: an MXST1 store cannot be
+// verified and an MXST2 one has every page at the wrong offset.
+const storeMagic = "MXST3\n"
+
+// headerSize is the length of the serialized header: one direct-I/O block,
+// of which the magic and three little-endian uint32 fields use the first 18
+// bytes.
+const headerSize = directIOAlign
 
 // ErrBadStore reports a malformed serialized store.
 var ErrBadStore = errors.New("store: malformed store stream")
 
-// WriteTo serializes the store (header + raw page images).
-func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	m, err := bw.WriteString(storeMagic)
-	n += int64(m)
-	if err != nil {
-		return n, err
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(s.pageSize))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(s.dim))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(s.numPages))
-	m, err = bw.Write(hdr[:])
-	n += int64(m)
-	if err != nil {
-		return n, err
-	}
-	m, err = bw.Write(s.data)
-	n += int64(m)
-	if err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
+// headerBlock serializes a store header.
+func headerBlock(pageSize, dim, numPages int) []byte {
+	hdr := make([]byte, headerSize)
+	n := copy(hdr, storeMagic)
+	binary.LittleEndian.PutUint32(hdr[n:], uint32(pageSize))
+	binary.LittleEndian.PutUint32(hdr[n+4:], uint32(dim))
+	binary.LittleEndian.PutUint32(hdr[n+8:], uint32(numPages))
+	return hdr
 }
 
-// ReadFrom deserializes a store written by WriteTo.
+// parseHeader decodes a headerBlock and rejects what no writer produces:
+// another format version, a zero field, a slot larger than the page, or a
+// size that overflows a file offset.
+func parseHeader(hdr []byte) (pageSize, dim, numPages int, err error) {
+	n := len(storeMagic)
+	switch magic := string(hdr[:n]); magic {
+	case storeMagic:
+	case "MXST1\n", "MXST2\n":
+		return 0, 0, 0, fmt.Errorf("%w: %q is an older format; rebuild the store", ErrBadStore, magic)
+	default:
+		return 0, 0, 0, fmt.Errorf("%w: bad magic %q", ErrBadStore, magic)
+	}
+	pageSize = int(binary.LittleEndian.Uint32(hdr[n:]))
+	dim = int(binary.LittleEndian.Uint32(hdr[n+4:]))
+	numPages = int(binary.LittleEndian.Uint32(hdr[n+8:]))
+	if pageSize <= 0 || dim <= 0 || numPages < 0 || embedding.SlotSize(dim) > pageSize ||
+		int64(numPages) > (math.MaxInt64-headerSize)/int64(pageSize) {
+		return 0, 0, 0, fmt.Errorf("%w: implausible header %d/%d/%d", ErrBadStore, pageSize, dim, numPages)
+	}
+	return pageSize, dim, numPages, nil
+}
+
+// WriteTo serializes the store (header block + raw page images).
+func (s *Store) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(headerBlock(s.pageSize, s.dim, s.numPages))
+	if err != nil {
+		return int64(n), err
+	}
+	m, err := w.Write(s.data)
+	return int64(n + m), err
+}
+
+// WriteShard streams shard's share of the layout's page images (global
+// pages shard, shard+shards, ...) to w, one page image in memory at a time.
+// The bytes are exactly BuildSharded(lay, syn, pageSize, shards).
+// Shard(shard).WriteTo(w) — with one shard, Build(...).WriteTo(w) — without
+// the table ever being resident.
+func WriteShard(w io.Writer, lay *layout.Layout, syn *embedding.Synthesizer, pageSize, shard, shards int) (int64, error) {
+	if shards < 1 || shard < 0 || shard >= shards {
+		return 0, fmt.Errorf("store: shard %d of %d", shard, shards)
+	}
+	enc, err := newSlotEncoder(lay, syn, pageSize)
+	if err != nil {
+		return 0, err
+	}
+	bw := bufio.NewWriterSize(w, 64<<10)
+	n, err := bw.Write(headerBlock(pageSize, syn.Dim(), shardPages(lay.NumPages(), shard, shards)))
+	written := int64(n)
+	img := make([]byte, pageSize)
+	for p := shard; err == nil && p < lay.NumPages(); p += shards {
+		clear(img)
+		enc.encodePage(img, lay.Pages[p])
+		n, err = bw.Write(img)
+		written += int64(n)
+	}
+	if err != nil {
+		return written, err
+	}
+	return written, bw.Flush()
+}
+
+// ReadFrom deserializes a store written by WriteTo or WriteShard.
 func ReadFrom(r io.Reader) (*Store, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(storeMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadStore, err)
-	}
-	if string(magic) != storeMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadStore, magic)
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr := make([]byte, headerSize)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrBadStore, err)
 	}
-	s := &Store{
-		pageSize: int(binary.LittleEndian.Uint32(hdr[0:])),
-		dim:      int(binary.LittleEndian.Uint32(hdr[4:])),
-		numPages: int(binary.LittleEndian.Uint32(hdr[8:])),
-	}
-	if s.pageSize <= 0 || s.dim <= 0 || s.numPages < 0 {
-		return nil, fmt.Errorf("%w: implausible header %d/%d/%d", ErrBadStore, s.pageSize, s.dim, s.numPages)
+	pageSize, dim, numPages, err := parseHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
 	const maxBytes = 1 << 36
-	total := int64(s.pageSize) * int64(s.numPages)
+	total := int64(pageSize) * int64(numPages)
 	if total > maxBytes {
 		return nil, fmt.Errorf("%w: implausible size %d", ErrBadStore, total)
 	}
-	// Grow with the data actually present rather than trusting the header
-	// (a hostile header must not force a giant allocation): read page by
-	// page, appending.
-	s.data = make([]byte, 0, min(total, 1<<20))
-	page := make([]byte, s.pageSize)
-	for p := 0; p < s.numPages; p++ {
-		if _, err := io.ReadFull(br, page); err != nil {
-			return nil, fmt.Errorf("%w: page %d data: %v", ErrBadStore, p, err)
-		}
-		s.data = append(s.data, page...)
+	// ReadAll grows with the data actually present: a hostile header must
+	// not force a giant allocation.
+	data, err := io.ReadAll(io.LimitReader(r, total))
+	if err == nil && int64(len(data)) < total {
+		err = io.ErrUnexpectedEOF
 	}
-	return s, nil
+	if err != nil {
+		return nil, fmt.Errorf("%w: page data: %d of %d bytes: %v", ErrBadStore, len(data), total, err)
+	}
+	return &Store{pageSize: pageSize, dim: dim, numPages: numPages, data: data}, nil
 }

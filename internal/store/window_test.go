@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -39,32 +40,55 @@ func writeStoreWith(t *testing.T, pageSize, dim, numKeys int) (string, *Store, *
 	return path, s, lay
 }
 
+// TestPageSpanGeometry pins the MXST3 read geometry. A 4096-byte page is one
+// device block: its span is the page itself at 4096 + p×4096, direct or
+// buffered, and a read buffer is one page. A page size that is not a
+// multiple of the alignment still goes through the enclosing aligned window
+// under O_DIRECT, and every page read through either geometry equals the
+// in-memory image.
 func TestPageSpanGeometry(t *testing.T) {
-	path, mem, _ := writeStoreWith(t, 1032, 4, 50)
-	fs, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	for p := 0; p < fs.NumPages(); p++ {
-		off, span, pageOff, err := fs.PageSpan(layout.PageID(p))
+	for _, g := range []struct{ pageSize, dim, keys int }{{4096, 16, 100}, {1032, 4, 50}} {
+		path, mem, _ := writeStoreWith(t, g.pageSize, g.dim, g.keys)
+		fs, _, err := OpenFileAuto(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fs.Direct() {
-			if off%int64(directIOAlign) != 0 || span%directIOAlign != 0 {
-				t.Fatalf("page %d: unaligned span %d@%d", p, span, off)
+		defer fs.Close()
+		windowed := fs.Direct() && g.pageSize%directIOAlign != 0
+		if want := g.pageSize; !windowed && fs.ReadBufSize() != want {
+			t.Fatalf("page size %d: ReadBufSize = %d, want %d", g.pageSize, fs.ReadBufSize(), want)
+		}
+		buf := fs.NewReadBuf()
+		for p := 0; p < fs.NumPages(); p++ {
+			off, span, pageOff, err := fs.PageSpan(layout.PageID(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			home := int64(headerSize + p*g.pageSize)
+			if !windowed {
+				if off != home || span != g.pageSize || pageOff != 0 {
+					t.Fatalf("page size %d page %d: span (%d, %d, %d), want (%d, %d, 0)",
+						g.pageSize, p, off, span, pageOff, home, g.pageSize)
+				}
+			} else {
+				if off%directIOAlign != 0 || span%directIOAlign != 0 || span > fs.ReadBufSize() {
+					t.Fatalf("page %d: unaligned or oversized span %d@%d", p, span, off)
+				}
+				if off+int64(pageOff) != home || pageOff+g.pageSize > span {
+					t.Fatalf("page %d: span %d@%d+%d does not cover the page at %d", p, span, off, pageOff, home)
+				}
+			}
+			img, err := fs.ReadPageWindow(layout.PageID(p), buf)
+			if err != nil {
+				t.Fatalf("page size %d page %d: %v", g.pageSize, p, err)
+			}
+			if want, _ := mem.Page(layout.PageID(p)); !bytes.Equal(img, want) {
+				t.Fatalf("page size %d page %d: bytes differ from the in-memory image", g.pageSize, p)
 			}
 		}
-		if off+int64(pageOff) != fs.dataOff+int64(p)*int64(mem.PageSize()) {
-			t.Fatalf("page %d: span does not land on the page", p)
+		if _, _, _, err := fs.PageSpan(layout.PageID(fs.NumPages())); err == nil {
+			t.Error("out-of-range page accepted")
 		}
-		if pageOff+fs.PageSize() > span {
-			t.Fatalf("page %d: span %d too short for pageOff %d", p, span, pageOff)
-		}
-	}
-	if _, _, _, err := fs.PageSpan(layout.PageID(fs.NumPages())); err == nil {
-		t.Error("out-of-range page accepted")
 	}
 }
 

@@ -227,19 +227,24 @@ func WithAutoRebuild(pagesPerSec float64) Option {
 }
 
 // WithFileBackend serves reads from real files instead of the simulated
-// device model: at Open the built store is written to one file per shard
-// under dir (shard000.bin, ...), opened with O_DIRECT when the filesystem
-// allows it, and read through the asynchronous real-I/O backend (io_uring
-// where available, a pread goroutine pool otherwise). Lookups then return
-// zero-copy views into the backend's completion buffers and all latency
-// accounting is measured wall-clock time rather than simulation. Point dir
-// at an NVMe-backed filesystem to exercise real hardware. Combine with
-// WithDevices(n) to stripe across n shard files.
+// device model: at Open the table is streamed, a page at a time, to one
+// file per shard under dir (shard000.bin, ...), synced, opened with O_DIRECT
+// when the filesystem allows it, and read through the asynchronous real-I/O
+// backend (io_uring where available, a pread goroutine pool otherwise).
+// The files are the only copy of the table — the DB holds the indexes and
+// the DRAM cache, as in the paper's deployment — so pinned keys, cache
+// warming and the last-resort read of a key's home page are reads of those
+// files too, and a key whose every copy is damaged on disk comes back in
+// FailedKeys. Lookups return zero-copy views into the backend's completion
+// buffers and all latency accounting is measured wall-clock time rather
+// than simulation. Point dir at an NVMe-backed filesystem to exercise real
+// hardware. Combine with WithDevices(n) to stripe across n shard files.
 //
 // Incompatible with TimingOnly (payloads must exist to be written),
 // WithTiers, WithFaultInjection, WithHotSpare/WithAutoRebuild (all
-// simulator-only), and with Refresh (the on-disk pages would go stale).
-// Call DB.Close to release the backend's files.
+// simulator-only), with Refresh (the on-disk pages would go stale) and with
+// Scrub (it patrols and repairs an in-memory table image, which a file-backed
+// DB does not have). Call DB.Close to release the backend's files.
 func WithFileBackend(dir string) Option { return func(c *config) { c.fileDir = dir } }
 
 // WithFaultInjection arms the simulated device with a deterministic fault
@@ -266,7 +271,7 @@ type DB struct {
 
 	mu               sync.Mutex
 	lay              *layout.Layout
-	src              serving.PageSource // current store image (nil when timing-only)
+	src              serving.PageSource // payloads: the store image, or the file backend itself (nil when timing-only)
 	defaultSess      *Session
 	lastRefreshTotal int64 // recorder.Total() at the last successful Refresh
 	pins             []Key // current DRAM pin-set (hottest keys), re-ranked per Refresh
@@ -337,12 +342,11 @@ func Open(numItems int, history [][]Key, opts ...Option) (*DB, error) {
 		return nil, fmt.Errorf("maxembed: placement: %w", err)
 	}
 
-	// With a file backend the read target is built from the store image
-	// below (the files ARE the store); only simulated DBs get a device
-	// model here.
+	// Only simulated DBs get a device model here.
 	var backend ssd.Backend
 	if cfg.fileDir != "" {
-		// backend assembled after the store is materialized.
+		// The read target is the shard files, written below once the
+		// layout is final.
 	} else if len(cfg.tiers) > 0 {
 		arr, err := ssd.NewTieredArray(cfg.tiers)
 		if err != nil {
@@ -402,31 +406,30 @@ func Open(numItems int, history [][]Key, opts ...Option) (*DB, error) {
 	db.lay = lay
 	db.lastRetier = retierRep
 	db.lastDespread = spreadRep
-	var src serving.PageSource
 	if !cfg.timingOnly {
 		db.syn, err = embedding.NewSynthesizer(cfg.dim, cfg.seed)
 		if err != nil {
 			return nil, fmt.Errorf("maxembed: %w", err)
 		}
-		src, err = db.buildStore(lay)
-		if err != nil {
-			return nil, err
-		}
 	}
-	db.src = src
 	if cfg.fileDir != "" {
-		fb, err := buildFileBackend(cfg.fileDir, src, cfg.devices)
+		// The table goes to disk and nowhere else: the backend that reads
+		// the shard files is also the engine's page source.
+		fb, err := buildFileBackend(cfg.fileDir, lay, db.syn, cfg.pageSize, cfg.devices)
 		if err != nil {
 			return nil, err
 		}
-		db.backend = fb
+		db.backend, db.src = fb, fb
+	} else if db.src, err = db.buildStore(lay); err != nil {
+		return nil, err
 	}
 
 	if cfg.recordLast > 0 {
 		db.recorder = serving.NewHistoryRecorder(cfg.recordLast)
 	}
-	eng, err := serving.New(db.engineConfig(lay, src))
+	eng, err := serving.New(db.engineConfig(lay, db.src))
 	if err != nil {
+		db.Close()
 		return nil, fmt.Errorf("maxembed: engine: %w", err)
 	}
 	db.handle = serving.NewSwappable(eng)
@@ -510,20 +513,13 @@ func (db *DB) buildStore(lay *layout.Layout) (serving.PageSource, error) {
 	return st, nil
 }
 
-// buildFileBackend writes the built store to one file per shard under dir
-// and opens the asynchronous real-I/O backend over them. The files are the
-// serving copy: reads go through them (O_DIRECT where supported), while
-// the in-memory store stays wired as the engine's PageSource for pinning
-// and fallback.
-func buildFileBackend(dir string, src serving.PageSource, shards int) (*ssd.FileBackend, error) {
+// buildFileBackend streams the layout's page images to one file per shard
+// under dir and opens the asynchronous real-I/O backend over them. No table
+// image is built in memory — store.WriteShard holds one page at a time —
+// and none is kept: the returned backend is the only way to the payloads.
+func buildFileBackend(dir string, lay *layout.Layout, syn *embedding.Synthesizer, pageSize, shards int) (*ssd.FileBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("maxembed: file backend dir: %w", err)
-	}
-	shardStore := func(i int) *store.Store {
-		if sh, ok := src.(*store.Sharded); ok {
-			return sh.Shard(i)
-		}
-		return src.(*store.Store)
 	}
 	files := make([]*store.FileStore, 0, shards)
 	closeAll := func() {
@@ -533,17 +529,7 @@ func buildFileBackend(dir string, src serving.PageSource, shards int) (*ssd.File
 	}
 	for i := 0; i < shards; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("shard%03d.bin", i))
-		f, err := os.Create(path)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("maxembed: file backend shard %d: %w", i, err)
-		}
-		if _, err := shardStore(i).WriteTo(f); err != nil {
-			f.Close()
-			closeAll()
-			return nil, fmt.Errorf("maxembed: writing shard %d: %w", i, err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeShardFile(path, lay, syn, pageSize, i, shards); err != nil {
 			closeAll()
 			return nil, fmt.Errorf("maxembed: writing shard %d: %w", i, err)
 		}
@@ -560,6 +546,25 @@ func buildFileBackend(dir string, src serving.PageSource, shards int) (*ssd.File
 		return nil, fmt.Errorf("maxembed: file backend: %w", err)
 	}
 	return fb, nil
+}
+
+// writeShardFile streams one shard's pages to path and syncs the file
+// before closing it. The sync is for the reads that follow, not for a
+// crash: an O_DIRECT read of a range whose pages are still dirty in the
+// page cache makes the kernel write them back first, which turns a 0.1 ms
+// read into a 1.6 ms one until the kernel's own flusher gets around to it.
+func writeShardFile(path string, lay *layout.Layout, syn *embedding.Synthesizer, pageSize, shard, shards int) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err = store.WriteShard(f, lay, syn, pageSize, shard, shards); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close releases resources the DB holds outside the Go heap — today the
