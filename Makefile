@@ -132,6 +132,10 @@ experiment hwsweep
 # admit-everything LRU in any (profile, cache ratio, policy) cell and at
 # least 12% less on Criteo at a 10% cache.
 experiment admitsweep
+# The default base partitioner (co-appearance page growth) against the
+# paper's SHP on all five profiles: no more pages per live query bare or
+# replicated, at least 8% fewer on Criteo, no longer to build.
+experiment partitioners
 # The simulator read path: timing-only, with a store, batched.
 bench WorkerLookup(Timing|Full|Batch)
 # The striped array at 1, 2 and 4 shards.

@@ -88,7 +88,7 @@ func BenchmarkLookup(b *testing.B) {
 }
 
 // BenchmarkOfflinePhase measures the full offline pipeline (hypergraph,
-// SHP partitioning, connectivity-priority replication, page layout).
+// base partitioning, connectivity-priority replication, page layout).
 func BenchmarkOfflinePhase(b *testing.B) {
 	trace, err := maxembed.GenerateTrace(maxembed.ProfileCriteo, 0.05)
 	if err != nil {

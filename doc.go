@@ -2,8 +2,9 @@
 // bandwidth utilization for huge embedding models serving" (ASPLOS 2024):
 // an SSD-backed embedding store for deep-learning recommendation models
 // that fights page-granularity read amplification by co-locating
-// co-appearing embeddings (SHP hypergraph partitioning, as in Bandana) and
-// — the paper's contribution — selectively replicating hot, high-
+// co-appearing embeddings (hypergraph partitioning, as in Bandana; here by
+// greedy co-appearance page growth, with the paper's SHP selectable) and —
+// the paper's contribution — selectively replicating hot, high-
 // connectivity embeddings onto extra pages so more queried keys are served
 // per page read.
 //

@@ -21,7 +21,7 @@ func main() {
 	// First half trains the placement; second half is live traffic.
 	history, live := trace.Split(0.5)
 
-	// Offline phase: hypergraph partitioning (SHP) + connectivity-priority
+	// Offline phase: hypergraph partitioning + connectivity-priority
 	// replication with 20% extra space, then page layout on the simulated
 	// SSD.
 	db, err := maxembed.Open(trace.NumItems, history.Queries,

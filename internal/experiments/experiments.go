@@ -6,6 +6,12 @@
 // a calibrated simulation and the datasets are scaled synthetics); the
 // comparisons and trends are the reproduction target. See DESIGN.md §6 for
 // the experiment index and EXPERIMENTS.md for recorded results.
+//
+// Table columns keep the paper's labels. "SHP" is the paper's baseline, one
+// copy per key on its partition's page, and "ME" replication on top of it;
+// both stand on placement's default base partitioner (co-appearance page
+// growth, DESIGN.md §4). Only the partitioners experiment runs the SHP
+// algorithm itself.
 package experiments
 
 import (
@@ -102,7 +108,7 @@ func All() []Experiment {
 		{"ablation", "Ablation: online selection design choices (§6)", Ablation},
 		{"loadcurve", "Supplementary: open-loop tail latency vs offered load", LoadCurve},
 		{"deploycost", "Supplementary: one-time write cost of deploying a layout", DeployCost},
-		{"partitioners", "Supplementary: SHP vs label-propagation partitioning", Partitioners},
+		{"partitioners", "Supplementary: co-appearance page growth vs SHP partitioning, with hard quality and build-time floors", Partitioners},
 		{"scaleout", "Supplementary: sharded multi-device serving", ScaleOut},
 		{"shardsweep", "Supplementary: RAID-0 device-array scaling (§7)", ShardSweep},
 		{"faultsweep", "Supplementary: fault injection, recovery, and graceful degradation", FaultSweep},
@@ -134,8 +140,8 @@ type prepared struct {
 	graph   *hypergraph.Graph
 }
 
-// layoutKey memoizes placements: SHP partitioning dominates experiment
-// time and several figures share (profile, strategy, ratio, dim) points.
+// layoutKey memoizes placements: building them dominates experiment time
+// and several figures share (profile, strategy, ratio, dim) points.
 type layoutKey struct {
 	profile  string
 	scale    float64

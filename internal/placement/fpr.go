@@ -1,14 +1,17 @@
 package placement
 
 import (
+	"math"
+
 	"maxembed/internal/hypergraph"
 	"maxembed/internal/layout"
-	"maxembed/internal/shp"
 )
 
 // FPR implements strawman 2, finer-partition and fill with replication
 // (§5.2): the hypergraph is partitioned into ⌈(1+r)N/d⌉ clusters — finer
-// than the page count actually needed — and each under-full page is then
+// than the page count actually needed, by handing the base partitioner
+// (Options.Partitioner, the same one every other strategy uses) the
+// capacity ⌈N/⌈(1+r)N/d⌉⌉ in place of d — and each under-full page is then
 // refilled with the keys that most frequently co-appear with its members.
 // The paper shows the finer partition can destroy combinations the coarse
 // partition would have kept, making FPR unstable across datasets.
@@ -17,33 +20,26 @@ func FPR(g *hypergraph.Graph, opts Options) (*layout.Layout, error) {
 		return nil, err
 	}
 	n := g.NumVertices()
-	if n == 0 {
-		return layout.Vanilla(0, opts.Capacity), nil
+	// The global replica-slot budget ⌊rN⌋; without one FPR is the base
+	// partition.
+	budget := int(opts.ReplicationRatio * float64(n))
+	if budget == 0 {
+		return SHP(g, opts)
 	}
-	numBuckets := int((1 + opts.ReplicationRatio) * float64(n) / float64(opts.Capacity))
-	minBuckets := (n + opts.Capacity - 1) / opts.Capacity
-	if numBuckets < minBuckets {
-		numBuckets = minBuckets
-	}
-	res, err := shp.Partition(g, shp.Options{
-		NumBuckets: numBuckets,
-		MaxIters:   opts.MaxIters,
-		Seed:       opts.Seed,
-	})
+	numBuckets := int(math.Ceil((1 + opts.ReplicationRatio) * float64(n) / float64(opts.Capacity)))
+	finer := opts
+	finer.Capacity = (n + numBuckets - 1) / numBuckets
+	assign, err := partition(g, finer)
 	if err != nil {
 		return nil, err
 	}
-	lay, err := layout.FromAssignment(res.Assign, opts.Capacity)
+	lay, err := layout.FromAssignment(assign, opts.Capacity)
 	if err != nil {
 		return nil, err
 	}
 
 	// Refill each page up to capacity with its most co-appearing outside
-	// keys, bounded by the global replica-slot budget ⌊rN⌋.
-	budget := int(opts.ReplicationRatio * float64(n))
-	if budget == 0 {
-		return lay, nil
-	}
+	// keys, bounded by the budget.
 	if lay.Replicas == nil {
 		lay.Replicas = make([][]layout.PageID, n)
 	}

@@ -7,8 +7,14 @@
 //     partitioning and let the partitioner place the copies.
 //   - FPR (strawman 2, §5.2): partition into finer clusters, then refill
 //     each cluster with its most co-appearing outside keys.
-//   - MaxEmbed (§5.3): partition with vanilla SHP, then add replica pages
-//     chosen by connectivity-priority scoring — the paper's solution.
+//   - MaxEmbed (§5.3): partition, then add replica pages chosen by
+//     connectivity-priority scoring — the paper's solution.
+//
+// The strategy ids are the paper's labels. Every strategy that partitions
+// does so through the one configured base partitioner (Options.Partitioner):
+// by default greedy co-appearance page growth (grow.go), on request the
+// paper's SHP (internal/shp) — so "shp" names the single-copy partitioned
+// layout, whichever algorithm partitioned it.
 //
 // All strategies emit a layout.Layout whose replica slots are bounded by
 // the configured replication ratio r.
@@ -20,14 +26,16 @@ import (
 
 	"maxembed/internal/hypergraph"
 	"maxembed/internal/layout"
-	"maxembed/internal/lpa"
 	"maxembed/internal/shp"
 )
 
 // Strategy names a placement algorithm.
 type Strategy string
 
-// The available strategies.
+// The available strategies, under the paper's labels. "shp" is the paper's
+// baseline — the partitioned layout with one copy per key — and like "rpp",
+// "fpr" and "maxembed" it partitions with Options.Partitioner, which is the
+// SHP algorithm only when that says PartitionerSHP.
 const (
 	StrategyVanilla  Strategy = "vanilla"
 	StrategySHP      Strategy = "shp"
@@ -48,14 +56,15 @@ type Options struct {
 	// ReplicationRatio is r: replica key-slots as a fraction of the key
 	// count. Ignored by Vanilla and SHP.
 	ReplicationRatio float64
-	// MaxIters bounds SHP refinement iterations per bisection level
-	// (0 = default).
+	// MaxIters bounds PartitionerSHP's refinement iterations per bisection
+	// level (0 = its default). The default partitioner has no iterations.
 	MaxIters int
-	// Seed makes the run deterministic.
+	// Seed drives PartitionerSHP's random initial assignment. The default
+	// partitioner is a function of the graph alone and ignores it.
 	Seed int64
-	// Partitioner selects the base partitioning algorithm for the SHP and
-	// MaxEmbed strategies: PartitionerSHP (default, the paper's choice)
-	// or PartitionerLPA (size-constrained label propagation).
+	// Partitioner selects the base partitioning algorithm every
+	// partitioning strategy (SHP, RPP, FPR, MaxEmbed) starts from:
+	// PartitionerGrown (default) or PartitionerSHP (the paper's).
 	Partitioner Partitioner
 	// Shards is the device count the layout will be striped over (page p
 	// lives on device p mod Shards, matching ssd.Array). Shards > 1 makes
@@ -71,25 +80,23 @@ type Partitioner string
 
 // Available partitioners.
 const (
-	PartitionerSHP Partitioner = "" // default
-	PartitionerLPA Partitioner = "lpa"
+	// PartitionerGrown is greedy co-appearance page growth (grow.go), the
+	// default: fewer pages per query than SHP on every profile, in less
+	// time (the partitioners experiment asserts both).
+	PartitionerGrown Partitioner = ""
+	// PartitionerSHP is recursive-bisection Social Hash Partitioning, the
+	// algorithm the paper and Bandana name (internal/shp).
+	PartitionerSHP Partitioner = "shp"
 )
 
-// partition runs the configured base partitioner.
+// partition runs the configured base partitioner: a bucket per vertex, at
+// most opts.Capacity vertices per bucket, ⌈N/Capacity⌉ buckets.
 func partition(g *hypergraph.Graph, opts Options) ([]int32, error) {
 	switch opts.Partitioner {
+	case PartitionerGrown:
+		return grow(g, opts.Capacity), nil
 	case PartitionerSHP:
 		res, err := shp.Partition(g, shp.Options{
-			Capacity: opts.Capacity,
-			MaxIters: opts.MaxIters,
-			Seed:     opts.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return res.Assign, nil
-	case PartitionerLPA:
-		res, err := lpa.Partition(g, lpa.Options{
 			Capacity: opts.Capacity,
 			MaxIters: opts.MaxIters,
 			Seed:     opts.Seed,
@@ -134,8 +141,10 @@ func Build(s Strategy, g *hypergraph.Graph, opts Options) (*layout.Layout, error
 	}
 }
 
-// SHP places one copy of each key via Social Hash Partitioning — the
-// Bandana baseline.
+// SHP places one copy of each key on the page the base partitioner gives
+// it — the Bandana baseline of the paper's figures, which partitions with
+// Social Hash Partitioning (Options.Partitioner = PartitionerSHP); here the
+// configured partitioner, by default co-appearance page growth.
 func SHP(g *hypergraph.Graph, opts Options) (*layout.Layout, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -149,7 +158,8 @@ func SHP(g *hypergraph.Graph, opts Options) (*layout.Layout, error) {
 
 // MaxEmbed implements connectivity-priority replication (§5.3):
 //
-//  1. Partition the hypergraph with vanilla SHP.
+//  1. Partition the hypergraph with the base partitioner (the paper:
+//     vanilla SHP; here Options.Partitioner, by default page growth).
 //  2. Score every vertex: score(v) = Σ_{e∋v} (λ(e)−1), where λ(e) is the
 //     number of buckets edge e spans — the vertex's contribution to
 //     residual read amplification, weighted by its hotness.

@@ -6,16 +6,16 @@ import (
 
 	"maxembed/internal/hypergraph"
 	"maxembed/internal/layout"
-	"maxembed/internal/shp"
 )
 
 // RPP implements strawman 1, replication prior to partition (§5.1): the
 // hottest ⌊rN⌋ keys get one replica vertex each, the replica is attached to
 // half of its original's hyperedges, and the expanded hypergraph is handed
-// to vanilla SHP, which decides both placements. The paper shows this
-// underperforms because hotness alone ignores adjacency, and duplicate
-// combinations waste space — both effects emerge naturally here (a replica
-// landing on its original's page is a dead slot).
+// to the base partitioner (the paper: vanilla SHP; here Options.Partitioner,
+// the same one every other strategy uses), which decides both placements.
+// The paper shows this underperforms because hotness alone ignores
+// adjacency, and duplicate combinations waste space — both effects emerge
+// naturally here (a replica landing on its original's page is a dead slot).
 func RPP(g *hypergraph.Graph, opts Options) (*layout.Layout, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -73,11 +73,7 @@ func RPP(g *hypergraph.Graph, opts Options) (*layout.Layout, error) {
 	}
 	expanded := b.Build()
 
-	res, err := shp.Partition(expanded, shp.Options{
-		Capacity: opts.Capacity,
-		MaxIters: opts.MaxIters,
-		Seed:     opts.Seed,
-	})
+	expandedAssign, err := partition(expanded, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +81,7 @@ func RPP(g *hypergraph.Graph, opts Options) (*layout.Layout, error) {
 	// Collapse the expanded assignment back to a layout over original
 	// keys. Replicas landing on their original's page are dropped — the
 	// wasted-space failure mode the paper attributes to RPP.
-	pageOf := compactBuckets(res.Assign)
+	pageOf := compactBuckets(expandedAssign)
 	numPages := 0
 	for _, p := range pageOf {
 		if int(p)+1 > numPages {

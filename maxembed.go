@@ -25,9 +25,12 @@ type Key = uint32
 // Strategy selects the offline placement algorithm.
 type Strategy = placement.Strategy
 
-// Placement strategies. StrategyMaxEmbed is the paper's solution;
-// StrategySHP is the Bandana baseline; StrategyRPP/StrategyFPR are the
-// §5 strawmen; StrategyVanilla is sequential placement.
+// Placement strategies, named as the paper labels them. StrategyMaxEmbed is
+// the paper's solution; StrategySHP is the Bandana baseline (one copy per
+// key on its partition's page); StrategyRPP/StrategyFPR are the §5
+// strawmen; StrategyVanilla is sequential placement. All but Vanilla start
+// from the same base partition — greedy co-appearance page growth, not the
+// SHP algorithm (DESIGN.md §4).
 const (
 	StrategyVanilla  = placement.StrategyVanilla
 	StrategySHP      = placement.StrategySHP
