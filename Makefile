@@ -93,11 +93,14 @@ race-stress:
 # batched) must allocate nothing at all, over the real-I/O backend and over
 # the simulator with a store (they run the same code), without a DRAM
 # cache and with one that evicts on every call; so must the cache's
-# own Get/Put/PutIfRoom mix and the slab behind it, and the /v1/lookup JSON
-# codec (request decode and reply encode at 0, the whole handler at a small
-# constant independent of key count). CI runs this as the bench-smoke gate,
-# with one pass of the evicting-Put and codec benchmarks for their B/op.
+# own Get/Put/PutIfRoom mix and the slab behind it, the two histograms every
+# lookup records into (metrics.Recorder, metrics.IntHist), and the
+# /v1/lookup JSON codec (request decode and reply encode at 0, the whole
+# handler at a small constant independent of key count). CI runs this as
+# the bench-smoke gate, with one pass of the evicting-Put and codec
+# benchmarks for their B/op.
 alloc-guard:
+	$(GO) test -count=1 -run 'TestRecorderBounded|TestIntHistAddZeroAllocs' -v ./internal/metrics
 	$(GO) test -count=1 -run 'TestFileBackendLookupZeroAllocs|TestFileBackendBatchZeroAllocs' -v ./internal/serving
 	$(GO) test -count=1 -run 'TestCacheHitPathAllocs|TestCachePutAllocBudget|TestCacheFillAllocBudget|TestSlabCarvesAndRecycles' -v ./internal/cache
 	$(GO) test -run '^$$' -bench 'BenchmarkCachePutEvict|BenchmarkSegmentedPutEvict' -benchtime=1x -benchmem ./internal/cache

@@ -226,7 +226,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Error("stats: node not ready after full recovery")
 	}
 	for _, s := range stats.Shards {
-		if s.State != "healthy" {
+		if s.State.String() != "healthy" {
 			t.Errorf("stats: shard %d state %q after the soak", s.Shard, s.State)
 		}
 	}

@@ -31,29 +31,29 @@ type Hasher[K comparable] func(K) uint64
 // reports its whole population as probation. Pinned* cover the immutable
 // pin-set installed with Pin, which lives outside the LRU segments.
 type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
+	Hits      int64 `json:"hits" prom:"hits_total,counter"`
+	Misses    int64 `json:"misses" prom:"misses_total,counter"`
+	Evictions int64 `json:"evictions" prom:"evictions_total,counter"`
 	// Bypassed counts PutIfRoom calls that found no free slot and cached
 	// nothing.
-	Bypassed int64
+	Bypassed int64 `json:"bypassed" prom:"bypassed_total,counter"`
 
 	// Segment occupancy at snapshot time.
-	ProbationLen int
-	ProtectedLen int
+	ProbationLen int `json:"probation_entries" prom:"probation_entries,gauge"`
+	ProtectedLen int `json:"protected_entries" prom:"protected_entries,gauge"`
 	// Per-segment eviction counters (ProbationEvictions + the plain-LRU
 	// evictions sum to Evictions together with ProtectedEvictions).
-	ProbationEvictions int64
-	ProtectedEvictions int64
+	ProbationEvictions int64 `json:"probation_evictions" prom:"probation_evictions_total,counter"`
+	ProtectedEvictions int64 `json:"protected_evictions" prom:"protected_evictions_total,counter"`
 	// Promotions counts probation → protected moves (first hit);
 	// Demotions counts protected → probation displacements.
-	Promotions int64
-	Demotions  int64
+	Promotions int64 `json:"promotions" prom:"promotions_total,counter"`
+	Demotions  int64 `json:"demotions" prom:"demotions_total,counter"`
 
 	// PinnedEntries is the pin-set size; PinnedHits counts Gets served
 	// from it (also included in Hits).
-	PinnedEntries int
-	PinnedHits    int64
+	PinnedEntries int   `json:"pinned_entries" prom:"pinned_entries,gauge"`
+	PinnedHits    int64 `json:"pinned_hits" prom:"pinned_hits_total,counter"`
 }
 
 // HitRate returns Hits / (Hits+Misses), or 0 with no lookups.

@@ -30,13 +30,13 @@ type Shadow[K comparable] struct {
 // CurvePoint is one simulated capacity on the miss-rate curve.
 type CurvePoint struct {
 	// Capacity is the simulated LRU's entry capacity.
-	Capacity int
+	Capacity int `json:"capacity"`
 	// Hits is how many accesses would have hit at this capacity.
-	Hits int64
+	Hits int64 `json:"hits"`
 	// Accesses is the total accesses observed (same for every point).
-	Accesses int64
+	Accesses int64 `json:"accesses"`
 	// HitRate is Hits / Accesses (0 with no accesses).
-	HitRate float64
+	HitRate float64 `json:"hit_rate"`
 }
 
 // NewShadow returns a shadow bank simulating the given capacities.

@@ -215,16 +215,7 @@ func (c *Cluster) Engine(s int) *serving.Engine { return c.engines[s] }
 func (c *Cluster) Stats() ssd.Stats {
 	var total ssd.Stats
 	for _, d := range c.devices {
-		s := d.Stats()
-		total.Reads += s.Reads
-		total.BytesRead += s.BytesRead
-		total.BusyNS += s.BusyNS
-		total.Errors += s.Errors
-		total.Timeouts += s.Timeouts
-		total.Corruptions += s.Corruptions
-		total.InjectedLatencyNS += s.InjectedLatencyNS
-		total.Writes += s.Writes
-		total.BytesWritten += s.BytesWritten
+		total.Add(d.Stats())
 	}
 	return total
 }

@@ -35,29 +35,33 @@ import (
 type SpreadReport struct {
 	// Shards is the stripe width; Tiers the number of residue-class groups
 	// the permutation respected (1 when tierOfShard was nil).
-	Shards int
-	Tiers  int
+	Shards int `json:"shards"`
+	Tiers  int `json:"tiers"`
 	// Moved is the number of pages whose shard changed.
-	Moved int
+	Moved int `json:"moved_pages" prom:"moved_pages,gauge"`
 	// Edges is the number of page-level co-activation edges scored; 0 in
 	// diversity-only mode (nil graph).
-	Edges int
+	Edges int `json:"edges_scored" prom:"edges_scored,gauge"`
 	// MeanDepthBefore/After is the mean per-query max-shard depth over the
 	// co-activation edges — the number of page reads the deepest shard
 	// serializes for an average recurring query set (1.0 = perfect spread).
-	MeanDepthBefore, MeanDepthAfter float64
+	MeanDepthBefore float64 `json:"mean_depth_before" prom:"mean_depth_before,gauge"`
+	MeanDepthAfter  float64 `json:"mean_depth_after" prom:"mean_depth_after,gauge"`
 	// MaxDepthBefore/After is the worst single-edge depth.
-	MaxDepthBefore, MaxDepthAfter int
+	MaxDepthBefore int `json:"max_depth_before"`
+	MaxDepthAfter  int `json:"max_depth_after"`
 	// ReplicaCollisionsBefore/After count (key, replica-copy) pairs whose
 	// replica page shares a shard with the key's home page — the invariant
 	// Options.Shards established at replica emission and Retier can break.
-	ReplicaCollisionsBefore, ReplicaCollisionsAfter int
+	ReplicaCollisionsBefore int `json:"replica_collisions_before"`
+	ReplicaCollisionsAfter  int `json:"replica_collisions_after" prom:"replica_collisions,gauge"`
 	// UncoveredKeysBefore/After count replicated keys with NO replica on a
 	// different shard than their home — the keys a single-shard failure
 	// strands without a shard-diverse rescue copy. This is the invariant
 	// recovery actually depends on; pairwise collisions are the soft
 	// minimization objective on top of it.
-	UncoveredKeysBefore, UncoveredKeysAfter int
+	UncoveredKeysBefore int `json:"uncovered_keys_before"`
+	UncoveredKeysAfter  int `json:"uncovered_keys_after" prom:"uncovered_keys,gauge"`
 }
 
 // UncoveredKeys counts replicated keys with no replica on a different shard

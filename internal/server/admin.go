@@ -54,36 +54,58 @@ func WithShardFailTolerance(frac float64) Option {
 	return func(h *Handler) { h.shardTolerance = frac }
 }
 
-// nodeHealth is one evaluation of the readiness verdict.
+// HealthStats is the readiness verdict as /v1/stats, /metrics and /healthz
+// report it.
+type HealthStats struct {
+	Ready bool `json:"ready" prom:"ready,gauge"`
+	// ErrorRate is the global rolling read-fault rate, WindowEvents the
+	// reads its window covers.
+	ErrorRate    float64 `json:"error_rate" prom:"read_error_rate,gauge"`
+	WindowEvents int64   `json:"window_events"`
+	// Shard-aware verdict detail; nil on single-device backends, which
+	// keep the legacy global-window verdict.
+	*ShardedHealth
+}
+
+// ShardedHealth is the part of the verdict only a backend with per-shard
+// health has: how many shards are dead, and the fault rate pooled over the
+// live ones.
+type ShardedHealth struct {
+	DeadShards    int     `json:"dead_shards" prom:"dead_shards,gauge"`
+	LiveErrorRate float64 `json:"live_error_rate" prom:"live_error_rate,gauge"`
+}
+
+// nodeHealth is one evaluation of the verdict, held by value so that the
+// admission check of every lookup allocates nothing; stats hands it out.
 type nodeHealth struct {
-	ready  bool
-	rate   float64 // global rolling read-fault rate
-	events int64   // reads the global window covers
-	// sharded reports a backend that tracks per-shard health; the fields
-	// below are zero without it (the legacy global-window verdict applies
-	// there unchanged).
-	sharded    bool
-	deadShards int
-	liveRate   float64 // fault rate pooled over live shards only
+	HealthStats
+	sharded    bool // the backend tracks per-shard health: live is meaningful
+	live       ShardedHealth
 	liveEvents int64
 }
 
-// nodeHealth computes the readiness verdict. Without shard health the
-// verdict is the legacy one: global window rate vs threshold. With it,
-// dead shards below the tolerance no longer flip the node — their faults
-// are excluded and readiness asks (a) are too many shards dead, and
+func (nh nodeHealth) stats() HealthStats {
+	if nh.sharded {
+		nh.ShardedHealth = &nh.live
+	}
+	return nh.HealthStats
+}
+
+// nodeHealth computes the readiness verdict over backend be. Without shard
+// health the verdict is the legacy one: global window rate vs threshold.
+// With it, dead shards below the tolerance no longer flip the node — their
+// faults are excluded and readiness asks (a) are too many shards dead, and
 // (b) are the *surviving* shards faulting beyond the threshold.
 //
 // Every lookup asks for the verdict (admission), so computing it allocates
 // nothing; /healthz, which prints the per-shard detail the verdict was
 // reached from, passes a slice to collect it in.
-func (h *Handler) nodeHealth(detail *[]ssd.ShardHealthInfo) nodeHealth {
+func (h *Handler) nodeHealth(be ssd.Backend, detail *[]ssd.ShardHealthInfo) nodeHealth {
 	var nh nodeHealth
-	nh.rate, nh.events = h.window.Rate()
-	be := h.curBackend()
+	nh.ErrorRate, nh.WindowEvents = h.window.Rate()
 	hr, ok := be.(ssd.HealthReporter)
 	if !ok {
-		nh.ready = nh.events < h.minEvents || nh.rate <= h.threshold
+		nh.Ready = nh.WindowEvents < h.minEvents || nh.ErrorRate <= h.threshold
 		return nh
 	}
 	nh.sharded = true
@@ -95,75 +117,55 @@ func (h *Handler) nodeHealth(detail *[]ssd.ShardHealthInfo) nodeHealth {
 			*detail = append(*detail, info)
 		}
 		if !info.State.Live() {
-			nh.deadShards++
+			nh.live.DeadShards++
 			continue
 		}
 		liveFaults += info.FaultRate * float64(info.WindowReads)
 		liveReads += float64(info.WindowReads)
 	}
 	if liveReads > 0 {
-		nh.liveRate = liveFaults / liveReads
+		nh.live.LiveErrorRate = liveFaults / liveReads
 	}
 	nh.liveEvents = int64(liveReads)
-	deadFrac := float64(nh.deadShards) / float64(n)
-	nh.ready = deadFrac <= h.shardTolerance &&
-		(nh.liveEvents < h.minEvents || nh.liveRate <= h.threshold)
+	deadFrac := float64(nh.live.DeadShards) / float64(n)
+	nh.Ready = deadFrac <= h.shardTolerance &&
+		(nh.liveEvents < h.minEvents || nh.live.LiveErrorRate <= h.threshold)
 	return nh
 }
 
-// ShardHealthEntry is one shard's health in JSON responses.
-type ShardHealthEntry struct {
-	Shard        int     `json:"shard"`
-	State        string  `json:"state"`
-	FaultRate    float64 `json:"fault_rate"`
-	WindowReads  int     `json:"window_reads"`
-	LatentErrors int64   `json:"latent_errors"`
-	Transitions  int64   `json:"transitions"`
+// ScrubStats is the scrub section of /v1/stats: admin-triggered sweeps on
+// this server (409-guarded; the progress gauges update while one runs).
+type ScrubStats struct {
+	Enabled           bool           `json:"enabled"`
+	Running           bool           `json:"running" prom:"running,gauge"`
+	Sweeps            int64          `json:"sweeps" prom:"sweeps_total,counter"`
+	Errors            int64          `json:"errors" prom:"errors_total,counter"`
+	ProgressPages     int64          `json:"progress_pages" prom:"pages_scanned,gauge"`
+	ProgressTotal     int64          `json:"progress_total"`
+	LatentSlots       int64          `json:"latent_slots_total" prom:"latent_slots_total,counter"`
+	RepairedSlots     int64          `json:"repaired_slots_total" prom:"repaired_slots_total,counter"`
+	UnrepairableSlots int64          `json:"unrepairable_slots_total" prom:"unrepairable_slots_total,counter"`
+	Last              *ScrubResponse `json:"last,omitempty"`
 }
 
-func shardHealthEntries(infos []ssd.ShardHealthInfo) []ShardHealthEntry {
-	out := make([]ShardHealthEntry, len(infos))
-	for i, info := range infos {
-		out[i] = ShardHealthEntry{
-			Shard:        info.Shard,
-			State:        info.State.String(),
-			FaultRate:    info.FaultRate,
-			WindowReads:  info.WindowReads,
-			LatentErrors: info.LatentErrors,
-			Transitions:  info.Transitions,
-		}
-	}
-	return out
+// RebuildStats is the rebuild section of /v1/stats.
+type RebuildStats struct {
+	Enabled       bool             `json:"enabled"`
+	Running       bool             `json:"running" prom:"running,gauge"`
+	Rebuilds      int64            `json:"rebuilds" prom:"total,counter"`
+	Errors        int64            `json:"errors" prom:"errors_total,counter"`
+	ProgressPages int64            `json:"progress_pages" prom:"pages_copied,gauge"`
+	ProgressTotal int64            `json:"progress_total"`
+	LastMTTRNS    int64            `json:"last_mttr_ns" prom:"last_mttr_ns,gauge"`
+	Last          *RebuildResponse `json:"last,omitempty"`
 }
 
 // ScrubResponse is the POST /v1/scrub response body (and the "last"
-// object of the stats scrub section).
+// object of the stats scrub section): the sweep's report and its virtual
+// duration.
 type ScrubResponse struct {
-	PagesScanned      int   `json:"pages_scanned"`
-	PagesSkipped      int   `json:"pages_skipped"`
-	PagesUnread       int   `json:"pages_unread"`
-	SlotsVerified     int   `json:"slots_verified"`
-	ReadFaults        int   `json:"read_faults"`
-	LatentSlots       int   `json:"latent_slots"`
-	RepairedSlots     int   `json:"repaired_slots"`
-	UnrepairableSlots int   `json:"unrepairable_slots"`
-	PerShardLatent    []int `json:"per_shard_latent,omitempty"`
-	DurationNS        int64 `json:"virtual_duration_ns"`
-}
-
-func scrubResponse(rep serving.ScrubReport) ScrubResponse {
-	return ScrubResponse{
-		PagesScanned:      rep.PagesScanned,
-		PagesSkipped:      rep.PagesSkipped,
-		PagesUnread:       rep.PagesUnread,
-		SlotsVerified:     rep.SlotsVerified,
-		ReadFaults:        rep.ReadFaults,
-		LatentSlots:       rep.LatentSlots,
-		RepairedSlots:     rep.RepairedSlots,
-		UnrepairableSlots: rep.UnrepairableSlots,
-		PerShardLatent:    rep.PerShardLatent,
-		DurationNS:        rep.DurationNS(),
-	}
+	serving.ScrubReport
+	DurationNS int64 `json:"virtual_duration_ns"`
 }
 
 // scrub is the POST /v1/scrub admin endpoint: one synchronous sweep.
@@ -180,8 +182,9 @@ func (h *Handler) scrub(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := serving.ScrubConfig{
 		Progress: func(scanned, total int) {
-			h.scrubScanned.Store(int64(scanned))
-			h.scrubTotal.Store(int64(total))
+			h.statsMu.Lock()
+			h.scrubStats.ProgressPages, h.scrubStats.ProgressTotal = int64(scanned), int64(total)
+			h.statsMu.Unlock()
 		},
 	}
 	if v := r.URL.Query().Get("pages_per_sec"); v != "" {
@@ -213,27 +216,30 @@ func (h *Handler) scrub(w http.ResponseWriter, r *http.Request) {
 }
 
 // runScrub performs one sweep under scrubMu, reporting busy when another
-// sweep holds it, and folds the result into the scrub counters.
+// sweep holds it, and folds the result into the scrub stats.
 func (h *Handler) runScrub(ctx context.Context, cfg serving.ScrubConfig) (resp ScrubResponse, busy bool, err error) {
 	if !h.scrubMu.TryLock() {
 		return ScrubResponse{}, true, nil
 	}
 	defer h.scrubMu.Unlock()
-	h.scrubRunning.Store(true)
-	defer h.scrubRunning.Store(false)
+	st := &h.scrubStats
+	h.statsMu.Lock()
+	st.Running = true
+	h.statsMu.Unlock()
 	rep, err := h.scrubber.Scrub(ctx, cfg)
+	resp = ScrubResponse{ScrubReport: rep, DurationNS: rep.DurationNS()}
+	h.statsMu.Lock()
+	defer h.statsMu.Unlock()
+	st.Running = false
 	if err != nil {
-		h.scrubErrors.Add(1)
+		st.Errors++
 		return ScrubResponse{}, false, err
 	}
-	h.scrubs.Add(1)
-	h.scrubLatent.Add(int64(rep.LatentSlots))
-	h.scrubRepaired.Add(int64(rep.RepairedSlots))
-	h.scrubUnrepairable.Add(int64(rep.UnrepairableSlots))
-	resp = scrubResponse(rep)
-	h.adminMu.Lock()
-	h.lastScrub = &resp
-	h.adminMu.Unlock()
+	st.Sweeps++
+	st.LatentSlots += int64(rep.LatentSlots)
+	st.RepairedSlots += int64(rep.RepairedSlots)
+	st.UnrepairableSlots += int64(rep.UnrepairableSlots)
+	st.Last = &resp
 	return resp, false, nil
 }
 
@@ -242,8 +248,8 @@ func (h *Handler) runScrub(ctx context.Context, cfg serving.ScrubConfig) (resp S
 func (h *Handler) shardIndex(w http.ResponseWriter, r *http.Request) (int, bool) {
 	v := r.PathValue("shard")
 	i, err := strconv.Atoi(v)
-	if err != nil || i < 0 || i >= h.curBackend().NumShards() {
-		httpError(w, http.StatusBadRequest, "invalid shard %q (backend has %d)", v, h.curBackend().NumShards())
+	if n := h.curBackend().NumShards(); err != nil || i < 0 || i >= n {
+		httpError(w, http.StatusBadRequest, "invalid shard %q (backend has %d)", v, n)
 		return 0, false
 	}
 	return i, true
@@ -268,32 +274,16 @@ func (h *Handler) failShard(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, map[string]any{
 		"shard":  i,
-		"shards": shardHealthEntries(h.shardAdmin.ShardHealth()),
+		"shards": h.shardAdmin.ShardHealth(),
 	})
 }
 
 // RebuildResponse is the POST /v1/shards/{shard}/rebuild response body
-// (and the "last" object of the stats rebuild section).
+// (and the "last" object of the stats rebuild section): the rebuild's
+// report and its virtual duration, the MTTR.
 type RebuildResponse struct {
-	Shard            int   `json:"shard"`
-	LocalPages       int   `json:"local_pages"`
-	FromSource       int   `json:"from_source"`
-	FromReplicas     int   `json:"from_replicas"`
-	FromStore        int   `json:"from_store"`
-	SourceReadFaults int   `json:"source_read_faults"`
-	MTTRNS           int64 `json:"mttr_ns"`
-}
-
-func rebuildResponse(rep serving.RebuildReport) RebuildResponse {
-	return RebuildResponse{
-		Shard:            rep.Shard,
-		LocalPages:       rep.LocalPages,
-		FromSource:       rep.FromSource,
-		FromReplicas:     rep.FromReplicas,
-		FromStore:        rep.FromStore,
-		SourceReadFaults: rep.SourceReadFaults,
-		MTTRNS:           rep.DurationNS(),
-	}
+	serving.RebuildReport
+	MTTRNS int64 `json:"mttr_ns"`
 }
 
 // rebuildShard is the POST /v1/shards/{shard}/rebuild admin endpoint:
@@ -313,8 +303,9 @@ func (h *Handler) rebuildShard(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := serving.RebuildConfig{
 		Progress: func(copied, total int, _ int64) {
-			h.rebuildCopied.Store(int64(copied))
-			h.rebuildTotal.Store(int64(total))
+			h.statsMu.Lock()
+			h.rebuildStats.ProgressPages, h.rebuildStats.ProgressTotal = int64(copied), int64(total)
+			h.statsMu.Unlock()
 		},
 	}
 	if v := r.URL.Query().Get("pages_per_sec"); v != "" {
@@ -338,25 +329,27 @@ func (h *Handler) rebuildShard(w http.ResponseWriter, r *http.Request) {
 }
 
 // runRebuild performs one rebuild under rebuildMu, reporting busy when
-// another rebuild holds it, and folds the result into the rebuild
-// counters.
+// another rebuild holds it, and folds the result into the rebuild stats.
 func (h *Handler) runRebuild(ctx context.Context, shard int, cfg serving.RebuildConfig) (resp RebuildResponse, busy bool, err error) {
 	if !h.rebuildMu.TryLock() {
 		return RebuildResponse{}, true, nil
 	}
 	defer h.rebuildMu.Unlock()
-	h.rebuildRunning.Store(true)
-	defer h.rebuildRunning.Store(false)
+	st := &h.rebuildStats
+	h.statsMu.Lock()
+	st.Running = true
+	h.statsMu.Unlock()
 	rep, err := h.shardAdmin.RebuildShard(ctx, shard, cfg)
+	resp = RebuildResponse{RebuildReport: rep, MTTRNS: rep.DurationNS()}
+	h.statsMu.Lock()
+	defer h.statsMu.Unlock()
+	st.Running = false
 	if err != nil {
-		h.rebuildErrors.Add(1)
+		st.Errors++
 		return RebuildResponse{}, false, err
 	}
-	h.rebuilds.Add(1)
-	h.lastMTTRNS.Store(rep.DurationNS())
-	resp = rebuildResponse(rep)
-	h.adminMu.Lock()
-	h.lastRebuild = &resp
-	h.adminMu.Unlock()
+	st.Rebuilds++
+	st.LastMTTRNS = resp.MTTRNS
+	st.Last = &resp
 	return resp, false, nil
 }

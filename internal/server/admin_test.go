@@ -124,9 +124,9 @@ func newAdminServer(t *testing.T) (*httptest.Server, *testAdmin, *workload.Trace
 
 // healthzBody is the JSON shape /healthz returns on shard-aware backends.
 type healthzBody struct {
-	Status     string             `json:"status"`
-	DeadShards int                `json:"dead_shards"`
-	Shards     []ShardHealthEntry `json:"shards"`
+	Status     string                `json:"status"`
+	DeadShards int                   `json:"dead_shards"`
+	Shards     []ssd.ShardHealthInfo `json:"shards"`
 }
 
 func postJSON(t *testing.T, url string, v any) *http.Response {
@@ -158,13 +158,13 @@ func TestShardFailAndRebuildEndpoints(t *testing.T) {
 
 	// Chaos: kill shard 0 over the API.
 	var fr struct {
-		Shard  int                `json:"shard"`
-		Shards []ShardHealthEntry `json:"shards"`
+		Shard  int                   `json:"shard"`
+		Shards []ssd.ShardHealthInfo `json:"shards"`
 	}
 	if resp := postJSON(t, srv.URL+"/v1/shards/0/fail", &fr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fail endpoint status = %d", resp.StatusCode)
 	}
-	if len(fr.Shards) != 2 || fr.Shards[0].State != "failed" {
+	if len(fr.Shards) != 2 || fr.Shards[0].State != ssd.ShardFailed {
 		t.Fatalf("fail response shards = %+v", fr.Shards)
 	}
 
@@ -193,7 +193,7 @@ func TestShardFailAndRebuildEndpoints(t *testing.T) {
 	if sr.Health.DeadShards != 1 || !sr.Health.Ready {
 		t.Fatalf("stats health = %+v", sr.Health)
 	}
-	if sr.Shards[0].State != "failed" || sr.Shards[1].State != "healthy" {
+	if sr.Shards[0].State != ssd.ShardFailed || sr.Shards[1].State != ssd.ShardHealthy {
 		t.Fatalf("stats shard states = %q/%q", sr.Shards[0].State, sr.Shards[1].State)
 	}
 	if !sr.Rebuild.Enabled || !sr.Scrub.Enabled {

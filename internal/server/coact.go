@@ -1,9 +1,6 @@
 package server
 
 import (
-	"fmt"
-	"net/http"
-
 	"maxembed/internal/placement"
 	"maxembed/internal/serving"
 )
@@ -32,33 +29,11 @@ type CoactStatsEntry struct {
 	// MeanMaxShardDepth is the mean, over served queries since the last
 	// engine swap or reset, of the deepest per-shard count of each
 	// query's planned reads (1.0 = perfectly spread plans).
-	MeanMaxShardDepth float64 `json:"mean_max_shard_depth"`
+	MeanMaxShardDepth float64 `json:"mean_max_shard_depth" prom:"mean_max_shard_depth,gauge"`
 	// Queries is how many queries the depth histogram has absorbed.
-	Queries int64 `json:"queries"`
+	Queries int64 `json:"queries" prom:"depth_queries,gauge"`
 	// Placement echoes the last despread pass, omitted when none ran.
-	Placement *CoactPlacementEntry `json:"placement,omitempty"`
-}
-
-// CoactPlacementEntry is the last despread pass's report on /v1/stats.
-type CoactPlacementEntry struct {
-	Shards int `json:"shards"`
-	Tiers  int `json:"tiers"`
-	// MovedPages is how many pages changed shard; EdgesScored how many
-	// co-activation edges drove the objective (0 = diversity-only mode).
-	MovedPages  int `json:"moved_pages"`
-	EdgesScored int `json:"edges_scored"`
-	// Mean/max per-query max-shard depth over the scored edges, either
-	// side of the permutation.
-	MeanDepthBefore float64 `json:"mean_depth_before"`
-	MeanDepthAfter  float64 `json:"mean_depth_after"`
-	MaxDepthBefore  int     `json:"max_depth_before"`
-	MaxDepthAfter   int     `json:"max_depth_after"`
-	// Replica shard-diversity either side of the pass: pairwise home/copy
-	// shard collisions, and keys left with no shard-diverse replica.
-	ReplicaCollisionsBefore int `json:"replica_collisions_before"`
-	ReplicaCollisionsAfter  int `json:"replica_collisions_after"`
-	UncoveredKeysBefore     int `json:"uncovered_keys_before"`
-	UncoveredKeysAfter      int `json:"uncovered_keys_after"`
+	Placement *placement.SpreadReport `json:"placement,omitempty" prom:""`
 }
 
 // coactStats builds the co-activation stats slice: nil on one-shard
@@ -73,43 +48,7 @@ func (h *Handler) coactStats(eng *serving.Engine) *CoactStatsEntry {
 		Queries:           eng.SpreadDepth.Count(),
 	}
 	if h.spreadSrc != nil {
-		if rep := h.spreadSrc.LastDespread(); rep != nil {
-			out.Placement = &CoactPlacementEntry{
-				Shards:                  rep.Shards,
-				Tiers:                   rep.Tiers,
-				MovedPages:              rep.Moved,
-				EdgesScored:             rep.Edges,
-				MeanDepthBefore:         rep.MeanDepthBefore,
-				MeanDepthAfter:          rep.MeanDepthAfter,
-				MaxDepthBefore:          rep.MaxDepthBefore,
-				MaxDepthAfter:           rep.MaxDepthAfter,
-				ReplicaCollisionsBefore: rep.ReplicaCollisionsBefore,
-				ReplicaCollisionsAfter:  rep.ReplicaCollisionsAfter,
-				UncoveredKeysBefore:     rep.UncoveredKeysBefore,
-				UncoveredKeysAfter:      rep.UncoveredKeysAfter,
-			}
-		}
+		out.Placement = h.spreadSrc.LastDespread()
 	}
 	return out
-}
-
-// coactMetrics renders the co-activation gauges in Prometheus exposition
-// format; a no-op on one-shard backends.
-func (h *Handler) coactMetrics(w http.ResponseWriter, eng *serving.Engine) {
-	cs := h.coactStats(eng)
-	if cs == nil {
-		return
-	}
-	fmt.Fprintf(w, "# TYPE maxembed_coact_mean_max_shard_depth gauge\nmaxembed_coact_mean_max_shard_depth %g\n", cs.MeanMaxShardDepth)
-	fmt.Fprintf(w, "# TYPE maxembed_coact_depth_queries gauge\nmaxembed_coact_depth_queries %d\n", cs.Queries)
-	p := cs.Placement
-	if p == nil {
-		return
-	}
-	fmt.Fprintf(w, "# TYPE maxembed_coact_moved_pages gauge\nmaxembed_coact_moved_pages %d\n", p.MovedPages)
-	fmt.Fprintf(w, "# TYPE maxembed_coact_edges_scored gauge\nmaxembed_coact_edges_scored %d\n", p.EdgesScored)
-	fmt.Fprintf(w, "# TYPE maxembed_coact_mean_depth_before gauge\nmaxembed_coact_mean_depth_before %g\n", p.MeanDepthBefore)
-	fmt.Fprintf(w, "# TYPE maxembed_coact_mean_depth_after gauge\nmaxembed_coact_mean_depth_after %g\n", p.MeanDepthAfter)
-	fmt.Fprintf(w, "# TYPE maxembed_coact_replica_collisions gauge\nmaxembed_coact_replica_collisions %d\n", p.ReplicaCollisionsAfter)
-	fmt.Fprintf(w, "# TYPE maxembed_coact_uncovered_keys gauge\nmaxembed_coact_uncovered_keys %d\n", p.UncoveredKeysAfter)
 }

@@ -127,7 +127,7 @@ func TestStatsEndpointCoact(t *testing.T) {
 		t.Errorf("placement geometry %d shards/%d tiers, want %d/%d",
 			pl.Shards, pl.Tiers, rep.Shards, rep.Tiers)
 	}
-	if pl.EdgesScored == 0 {
+	if pl.Edges == 0 {
 		t.Error("despread with a co-activation graph scored no edges")
 	}
 	if pl.MeanDepthAfter > pl.MeanDepthBefore {

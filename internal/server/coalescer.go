@@ -238,24 +238,28 @@ func (c *coalescer) close() {
 	<-c.exited
 }
 
-// CoalescerStats is the /v1/stats projection of coalescer activity.
+// CoalescerStats is the coalescer's slice of /v1/stats; Enabled false (and
+// zero counters) when the server serves every request in isolation.
 type CoalescerStats struct {
 	Enabled       bool    `json:"enabled"`
 	MaxBatch      int     `json:"max_batch"`
 	MaxWaitNS     int64   `json:"max_wait_ns"`
-	Batches       int64   `json:"batches"`
-	Bypasses      int64   `json:"bypasses"`
-	Coalesced     int64   `json:"coalesced_requests"`
-	Shed          int64   `json:"shed"`
+	Batches       int64   `json:"batches" prom:"batches_total,counter"`
+	Bypasses      int64   `json:"bypasses" prom:"bypass_total,counter"`
+	Coalesced     int64   `json:"coalesced_requests" prom:"requests_total,counter"`
+	Shed          int64   `json:"shed" prom:"shed_total,counter"`
 	Rebinds       int64   `json:"rebinds"`
-	MeanBatchSize float64 `json:"mean_batch_size"`
+	MeanBatchSize float64 `json:"mean_batch_size" prom:"batch_size_mean,gauge"`
 	WaitP50NS     int64   `json:"wait_p50_ns"`
-	WaitP99NS     int64   `json:"wait_p99_ns"`
+	WaitP99NS     int64   `json:"wait_p99_ns" prom:"wait_p99_ns,gauge"`
+	// BatchSizes is the distribution over every dispatch, bypasses included.
+	BatchSizes *metrics.Histogram `json:"-" prom:"batch_size,histogram"`
 }
 
 // stats snapshots the coalescer's counters.
 func (c *coalescer) stats() CoalescerStats {
 	ws := c.waits.Snapshot()
+	sizes := c.batchSizes.Snapshot()
 	return CoalescerStats{
 		Enabled:       true,
 		MaxBatch:      c.maxBatch,
@@ -266,7 +270,8 @@ func (c *coalescer) stats() CoalescerStats {
 		Shed:          c.shed.Load(),
 		Rebinds:       c.rebinds.Load(),
 		MeanBatchSize: c.batchSizes.Mean(),
-		WaitP50NS:     ws.P50NS,
-		WaitP99NS:     ws.P99NS,
+		WaitP50NS:     ws.Quantile(0.50),
+		WaitP99NS:     ws.Quantile(0.99),
+		BatchSizes:    &sizes,
 	}
 }

@@ -95,18 +95,17 @@ func (h *Handler) runRefresh() (resp RefreshResponse, busy bool, err error) {
 	}
 	defer h.refreshMu.Unlock()
 	start := h.now()
-	if err := h.refreshSrc.RefreshNow(); err != nil {
-		h.refreshErrors.Add(1)
+	err = h.refreshSrc.RefreshNow()
+	dur := h.now().Sub(start).Nanoseconds()
+	h.statsMu.Lock()
+	defer h.statsMu.Unlock()
+	if err != nil {
+		h.refreshStats.Errors++
 		return RefreshResponse{}, false, err
 	}
-	dur := h.now().Sub(start)
-	h.refreshes.Add(1)
-	h.lastRefreshNS.Store(dur.Nanoseconds())
-	return RefreshResponse{
-		Generation: h.handle.Generation(),
-		DurationNS: dur.Nanoseconds(),
-		Swaps:      h.handle.Swaps(),
-	}, false, nil
+	h.refreshStats.Refreshes++
+	h.refreshStats.LastDurationNS = dur
+	return RefreshResponse{Generation: h.handle.Generation(), DurationNS: dur, Swaps: h.handle.Swaps()}, false, nil
 }
 
 // refreshLoop periodically refreshes the layout from recorded history,

@@ -304,14 +304,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
-	for _, metric := range []string{
-		"maxembed_device_reads_total",
-		"maxembed_cache_hits_total",
-		"maxembed_lookups_total 5",
-		"maxembed_valid_per_read",
-	} {
-		if !strings.Contains(text, metric) {
-			t.Errorf("metrics output missing %q:\n%s", metric, text)
-		}
+	// Which families exist is TestStatsSurfaceGolden's to pin; this holds a
+	// value.
+	if metric := "maxembed_lookups_total 5"; !strings.Contains(text, metric) {
+		t.Errorf("metrics output missing %q:\n%s", metric, text)
 	}
 }

@@ -152,9 +152,9 @@ func TestStatsEndpointTiers(t *testing.T) {
 	if sr.Cache == nil {
 		t.Fatal("no cache block")
 	}
-	if sr.Cache.ProbationEntries+sr.Cache.ProtectedEntries != sr.Cache.Entries {
+	if sr.Cache.ProbationLen+sr.Cache.ProtectedLen != sr.Cache.Entries {
 		t.Errorf("segment occupancy %d+%d != entries %d",
-			sr.Cache.ProbationEntries, sr.Cache.ProtectedEntries, sr.Cache.Entries)
+			sr.Cache.ProbationLen, sr.Cache.ProtectedLen, sr.Cache.Entries)
 	}
 	if sr.Cache.Hits > 0 && sr.Cache.Promotions == 0 {
 		t.Error("hits recorded but no promotions under segmented policy")
@@ -208,23 +208,12 @@ func TestMetricsEndpointTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
+	// The families and their kinds are in TestStatsSurfaceGolden's golden;
+	// what is checked here is the label set each tier's samples carry.
 	for _, want := range []string{
-		"# TYPE maxembed_tier_reads_total counter",
 		"maxembed_tier_reads_total{tier=\"0\",profile=\"P5800X\"}",
 		"maxembed_tier_reads_total{tier=\"1\",profile=\"P4510\"}",
-		"# TYPE maxembed_tier_bytes_read_total counter",
-		"# TYPE maxembed_tier_pages gauge",
 		"maxembed_tier_pages{tier=\"0\",profile=\"P5800X\"}",
-		"# TYPE maxembed_tier_read_share gauge",
-		"# TYPE maxembed_cache_bypassed_total counter",
-		"# TYPE maxembed_cache_probation_entries gauge",
-		"# TYPE maxembed_cache_protected_entries gauge",
-		"# TYPE maxembed_cache_probation_evictions_total counter",
-		"# TYPE maxembed_cache_protected_evictions_total counter",
-		"# TYPE maxembed_cache_promotions_total counter",
-		"# TYPE maxembed_cache_demotions_total counter",
-		"# TYPE maxembed_cache_pinned_entries gauge",
-		"# TYPE maxembed_cache_pinned_hits_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

@@ -360,6 +360,7 @@ func RunBatched(e *Engine, queries [][]Key, batchSize, workers int) (RunResult, 
 		ws[i] = e.NewWorker()
 	}
 	var res RunResult
+	lats := make([]int64, 0, len(queries))
 	for bi := 0; bi*batchSize < len(queries); bi++ {
 		from := bi * batchSize
 		to := min(from+batchSize, len(queries))
@@ -385,12 +386,13 @@ func RunBatched(e *Engine, queries [][]Key, batchSize, workers int) (RunResult, 
 		res.SharedKeys += int64(br.Stats.SharedKeys)
 		res.SharedPageReads += int64(br.Stats.SharedPageReads)
 		for _, r := range br.PerQuery {
+			lats = append(lats, r.Stats.LatencyNS())
 			res.FailedKeys += int64(r.Stats.FailedKeys)
 			if r.Stats.Degraded {
 				res.DegradedQueries++
 			}
 		}
 	}
-	finalizeRun(e, &res, ws)
+	finalizeRun(e, &res, ws, lats)
 	return res, nil
 }

@@ -62,7 +62,7 @@ func RunOpenLoop(e *Engine, queries [][]Key, workers int, offeredQPS float64) (O
 	heap.Init(&h)
 
 	interArrival := 1e9 / offeredQPS
-	var rec metrics.Recorder
+	lats := make([]int64, 0, len(queries))
 	var lastBacklog, backlogGrowth int64
 	for i, q := range queries {
 		arrival := int64(float64(i) * interArrival)
@@ -79,7 +79,7 @@ func RunOpenLoop(e *Engine, queries [][]Key, workers int, offeredQPS float64) (O
 		if err != nil {
 			return res, fmt.Errorf("serving: open-loop query %d: %w", i, err)
 		}
-		rec.Record(r.Stats.EndNS - arrival)
+		lats = append(lats, r.Stats.EndNS-arrival)
 		res.PagesRead += int64(r.Stats.PagesRead)
 		heap.Push(&h, w)
 	}
@@ -92,7 +92,7 @@ func RunOpenLoop(e *Engine, queries [][]Key, workers int, offeredQPS float64) (O
 	res.OfferedQPS = offeredQPS
 	res.AchievedQPS = metrics.PerSecond(int64(len(queries)), makespan)
 	res.MeanMaxShardDepth = e.SpreadDepth.Mean()
-	res.Latency = rec.Snapshot()
+	res.Latency = metrics.Summarize(lats)
 	// Saturation heuristic: the queueing delay grew on most dispatches.
 	res.Saturated = backlogGrowth > int64(len(queries))*3/4
 	return res, nil

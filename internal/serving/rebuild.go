@@ -34,24 +34,25 @@ type RebuildConfig struct {
 // RebuildReport summarizes one rebuild.
 type RebuildReport struct {
 	// Shard is the rebuilt member index; LocalPages its page population.
-	Shard      int
-	LocalPages int
+	Shard      int `json:"shard"`
+	LocalPages int `json:"local_pages"`
 	// FromSource pages were read intact off the failing device itself;
 	// FromReplicas were reconstructed by reading replica pages on
 	// surviving shards; FromStore fell back to host-side
 	// re-materialization from the pristine store image (no device read —
 	// the offline builder's copy) because some key on the page had no
 	// live replica.
-	FromSource   int
-	FromReplicas int
-	FromStore    int
+	FromSource   int `json:"from_source"`
+	FromReplicas int `json:"from_replicas"`
+	FromStore    int `json:"from_store"`
 	// SourceReadFaults counts failed reads against the failing device
 	// during the rebuild (each also feeds its fault window).
-	SourceReadFaults int
+	SourceReadFaults int `json:"source_read_faults"`
 	// StartNS/EndNS bound the rebuild on its virtual clock; the
 	// difference is the mean-time-to-repair the rebuildsweep experiment
 	// measures.
-	StartNS, EndNS int64
+	StartNS int64 `json:"-"`
+	EndNS   int64 `json:"-"`
 }
 
 // DurationNS returns the rebuild's virtual duration (the MTTR).

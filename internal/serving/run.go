@@ -87,6 +87,7 @@ func Run(e *Engine, queries [][]Key, workers int) (RunResult, error) {
 		ws[i] = e.NewWorker()
 	}
 	var res RunResult
+	lats := make([]int64, 0, len(queries))
 	for i, q := range queries {
 		w := ws[i%workers]
 		r, err := w.Lookup(q)
@@ -94,6 +95,7 @@ func Run(e *Engine, queries [][]Key, workers int) (RunResult, error) {
 			return res, fmt.Errorf("serving: query %d: %w", i, err)
 		}
 		st := r.Stats
+		lats = append(lats, st.LatencyNS())
 		res.Queries++
 		res.Keys += int64(st.Keys)
 		res.PagesRead += int64(st.PagesRead)
@@ -113,7 +115,7 @@ func Run(e *Engine, queries [][]Key, workers int) (RunResult, error) {
 			res.DegradedQueries++
 		}
 	}
-	finalizeRun(e, &res, ws)
+	finalizeRun(e, &res, ws, lats)
 	return res, nil
 }
 
@@ -135,8 +137,11 @@ func (e *Engine) resetRunState() {
 	}
 }
 
-// finalizeRun derives the run's rates from its totals and worker clocks.
-func finalizeRun(e *Engine, res *RunResult, ws []*Worker) {
+// finalizeRun derives the run's rates from its totals and worker clocks, and
+// its latency summary from the per-query samples the harness kept: a run is
+// bounded and its tables want exact percentiles, which the engine's
+// fixed-size histogram does not give.
+func finalizeRun(e *Engine, res *RunResult, ws []*Worker, lats []int64) {
 	for _, w := range ws {
 		if w.Now() > res.ElapsedNS {
 			res.ElapsedNS = w.Now()
@@ -153,7 +158,7 @@ func finalizeRun(e *Engine, res *RunResult, ws []*Worker) {
 		(res.UsefulKeys+res.CacheHits)*int64(e.vecSize), res.ElapsedNS)
 	res.MeanValidPerRead = e.ValidPerRead.Mean()
 	res.MeanMaxShardDepth = e.SpreadDepth.Mean()
-	res.Latency = e.Latency.Snapshot()
+	res.Latency = metrics.Summarize(lats)
 }
 
 // WarmCache pre-populates the engine's cache by running the queries

@@ -47,24 +47,25 @@ type ScrubReport struct {
 	// PagesSkipped were on failed/rebuilding shards (their content is the
 	// rebuilder's problem); PagesUnread hit a device read fault and could
 	// not be verified this sweep.
-	PagesScanned int
-	PagesSkipped int
-	PagesUnread  int
+	PagesScanned int `json:"pages_scanned"`
+	PagesSkipped int `json:"pages_skipped"`
+	PagesUnread  int `json:"pages_unread"`
 	// SlotsVerified is the number of occupied slots checksummed.
-	SlotsVerified int
+	SlotsVerified int `json:"slots_verified"`
 	// ReadFaults counts device-level faults the sweep's own reads hit.
-	ReadFaults int
+	ReadFaults int `json:"read_faults"`
 	// LatentSlots counts slots whose stored checksum did not verify —
 	// silent at-rest corruption found before any query tripped on it.
-	LatentSlots int
+	LatentSlots int `json:"latent_slots"`
 	// RepairedSlots of those were rewritten from a verified replica slot;
 	// UnrepairableSlots had no intact replica anywhere.
-	RepairedSlots     int
-	UnrepairableSlots int
+	RepairedSlots     int `json:"repaired_slots"`
+	UnrepairableSlots int `json:"unrepairable_slots"`
 	// PerShardLatent breaks LatentSlots down by owning shard.
-	PerShardLatent []int
+	PerShardLatent []int `json:"per_shard_latent,omitempty"`
 	// StartNS/EndNS bound the sweep on the scrubber's virtual clock.
-	StartNS, EndNS int64
+	StartNS int64 `json:"-"`
+	EndNS   int64 `json:"-"`
 }
 
 // DurationNS returns the sweep's virtual duration.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+
+	"maxembed/internal/metrics"
 )
 
 // Online layout refresh needs to replace a running engine — new layout, new
@@ -27,21 +29,21 @@ type engineEntry struct {
 // across swaps is what lets Prometheus-style counters survive a refresh
 // (a fresh engine's counters start at zero).
 type RecoveryTotals struct {
-	ReadErrors      int64
-	Timeouts        int64
-	Corruptions     int64
-	Retries         int64
-	ReplicaRescues  int64
-	RecoveredKeys   int64
-	DegradedQueries int64
-	FailedKeys      int64
+	ReadErrors      int64 `json:"read_errors" prom:"read_errors_total,counter"`
+	Timeouts        int64 `json:"timeouts" prom:"read_timeouts_total,counter"`
+	Corruptions     int64 `json:"corruptions_detected" prom:"corruptions_detected_total,counter"`
+	Retries         int64 `json:"retries" prom:"read_retries_total,counter"`
+	ReplicaRescues  int64 `json:"replica_rescues" prom:"replica_rescues_total,counter"`
+	RecoveredKeys   int64 `json:"recovered_keys" prom:"recovered_keys_total,counter"`
+	DegradedQueries int64 `json:"degraded_queries" prom:"degraded_queries_total,counter"`
+	FailedKeys      int64 `json:"failed_keys" prom:"failed_keys_total,counter"`
 	// ShardReroutes counts keys proactively moved off failed/rebuilding
 	// shards before submit; StoreFallbacks counts keys served by
 	// host-store read-through because no live replica covered them.
-	ShardReroutes  int64
-	StoreFallbacks int64
-	// Lookups counts queries served (latency samples recorded).
-	Lookups int64
+	ShardReroutes  int64 `json:"shard_reroutes" prom:"shard_reroutes_total,counter"`
+	StoreFallbacks int64 `json:"store_fallbacks" prom:"store_fallbacks_total,counter"`
+	// Lookups counts queries served: the samples of View.Latency.
+	Lookups int64 `json:"lookups" prom:"lookups_total,counter"`
 }
 
 // add accumulates an engine's current counters into the totals.
@@ -57,7 +59,32 @@ func (t *RecoveryTotals) add(e *Engine) {
 	t.FailedKeys += r.FailedKeys.Load()
 	t.ShardReroutes += r.ShardReroutes.Load()
 	t.StoreFallbacks += r.StoreFallbacks.Load()
-	t.Lookups += int64(e.Latency.Count())
+}
+
+// SwapStats is the handle's own slice of the stats.
+type SwapStats struct {
+	// Generation is the current engine's layout generation; Swaps counts
+	// the engines swapped in before it.
+	Generation uint64 `json:"layout_generation" prom:"layout_generation,gauge"`
+	Swaps      int64  `json:"engine_swaps" prom:"engine_swaps_total,counter"`
+	// ValidPerReadBefore is the valid-embeddings-per-read mean of the
+	// engine most recently replaced (0 before any swap). Read next to the
+	// current engine's running mean it shows whether a refresh recovered
+	// placement quality.
+	ValidPerReadBefore float64 `json:"valid_per_read_before_swap" prom:"valid_per_read_before_swap,gauge"`
+}
+
+// View is one consistent read of a Swappable: the current engine and the
+// handle's state as of that engine. A stats render reports from one View,
+// so a render that straddles a swap still describes one engine.
+type View struct {
+	Engine *Engine
+	SwapStats
+	// Recovery and Latency sum over every engine the handle has held —
+	// what the replaced ones had counted when they were swapped out, plus
+	// Engine's live state — so both are monotonic across swaps.
+	Recovery RecoveryTotals
+	Latency  metrics.LatencyHist
 }
 
 // Swappable is a versioned engine handle supporting atomic hot swap: Load
@@ -68,9 +95,10 @@ type Swappable struct {
 	cur   atomic.Pointer[engineEntry]
 	swaps atomic.Int64
 
-	mu         sync.Mutex     // serializes Swap
-	retired    RecoveryTotals // counters carried over from replaced engines
-	beforeMean float64        // replaced engine's ValidPerRead mean at last swap
+	mu         sync.Mutex          // serializes Swap
+	retired    RecoveryTotals      // counters carried over from replaced engines
+	retiredLat metrics.LatencyHist // their latency samples
+	beforeMean float64             // replaced engine's ValidPerRead mean at last swap
 }
 
 // NewSwappable returns a handle serving the given engine at generation 1.
@@ -102,10 +130,11 @@ func (s *Swappable) Swaps() int64 { return s.swaps.Load() }
 
 // Swap atomically publishes e as the current engine under the next
 // generation and returns that generation. The replaced engine's counters
-// are folded into the handle's retired totals and its valid-per-read mean
-// is retained (ValidPerReadBefore) so a refresh's effect is observable as
-// a before/after pair. The caller must not have exposed e to any worker
-// yet: Swap stamps its generation before publishing it.
+// and latency histogram are folded into the handle's retired totals and its
+// valid-per-read mean is retained (SwapStats.ValidPerReadBefore) so a
+// refresh's effect is observable as a before/after pair. The caller must
+// not have exposed e to any worker yet: Swap stamps its generation before
+// publishing it.
 func (s *Swappable) Swap(e *Engine) (uint64, error) {
 	if e == nil {
 		return 0, errors.New("serving: Swap(nil)")
@@ -117,6 +146,7 @@ func (s *Swappable) Swap(e *Engine) (uint64, error) {
 		return old.gen, errors.New("serving: Swap of the already-current engine")
 	}
 	s.retired.add(old.eng)
+	s.retiredLat.Add(old.eng.Latency.Snapshot())
 	s.beforeMean = old.eng.ValidPerRead.Mean()
 	gen := old.gen + 1
 	e.gen = gen
@@ -125,26 +155,21 @@ func (s *Swappable) Swap(e *Engine) (uint64, error) {
 	return gen, nil
 }
 
-// ValidPerReadBefore returns the valid-embeddings-per-read mean of the
-// engine most recently replaced by Swap (0 before any swap). Read next to
-// the current engine's running mean, it is the before/after pair that shows
-// whether a refresh recovered placement quality.
-func (s *Swappable) ValidPerReadBefore() float64 {
+// View reads the handle once (see View). It is taken under the swap mutex
+// so a concurrent Swap cannot fold the current engine into the retired
+// totals between two of its reads, which would make them transiently dip.
+func (s *Swappable) View() View {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.beforeMean
-}
-
-// Totals returns recovery counters summed over every engine the handle has
-// held: the retired totals of replaced engines plus the current engine's
-// live counters. Monotonic across swaps.
-func (s *Swappable) Totals() RecoveryTotals {
-	// Taken under the swap mutex so a concurrent Swap cannot fold the
-	// current engine into retired between the two reads (which would make
-	// the totals transiently dip).
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.retired
-	t.add(s.cur.Load().eng)
-	return t
+	cur := s.cur.Load()
+	v := View{
+		Engine:    cur.eng,
+		SwapStats: SwapStats{Generation: cur.gen, Swaps: s.swaps.Load(), ValidPerReadBefore: s.beforeMean},
+		Recovery:  s.retired,
+		Latency:   s.retiredLat,
+	}
+	v.Recovery.add(cur.eng)
+	v.Latency.Add(cur.eng.Latency.Snapshot())
+	v.Recovery.Lookups = v.Latency.Count
+	return v
 }

@@ -55,9 +55,10 @@ func TestSwappableGenerations(t *testing.T) {
 	}
 }
 
-// TestSwappableTotalsMonotonic: counters survive a swap — the retired
-// engine's recovery work stays in Totals after a fresh engine (all-zero
-// counters) takes over.
+// TestSwappableTotalsMonotonic: counters and the latency histogram survive
+// a swap — the retired engine's recovery work and latency samples stay in
+// the View after a fresh engine (all zero) takes over, and the lookup
+// counter is the histogram's count throughout.
 func TestSwappableTotalsMonotonic(t *testing.T) {
 	f := newFixture(t, placement.StrategyMaxEmbed, 0.4)
 	e1 := f.engine(t, nil)
@@ -66,29 +67,40 @@ func TestSwappableTotalsMonotonic(t *testing.T) {
 	if _, err := Run(e1, f.trace.Queries[:300], 2); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Totals()
-	if before.Retries == 0 || before.Lookups == 0 {
-		t.Fatalf("fault run recorded no activity: %+v", before)
+	before := s.View()
+	if before.Recovery.Retries == 0 || before.Recovery.Lookups != 300 || before.Latency.Count != 300 {
+		t.Fatalf("fault run recorded %d lookups, %d latency samples: %+v",
+			before.Recovery.Lookups, before.Latency.Count, before.Recovery)
 	}
 	if _, err := s.Swap(f.engine(t, nil)); err != nil {
 		t.Fatal(err)
 	}
-	after := s.Totals()
-	if after != before {
-		t.Errorf("Totals changed across swap with no traffic: %+v → %+v", before, after)
+	after := s.View()
+	if after.Recovery != before.Recovery || after.Latency != before.Latency {
+		t.Errorf("totals changed across swap with no traffic: %+v → %+v; latency %v → %v",
+			before.Recovery, after.Recovery, before.Latency.Summary(), after.Latency.Summary())
 	}
-	if s.ValidPerReadBefore() <= 0 {
-		t.Errorf("ValidPerReadBefore = %v after swapping out a serving engine", s.ValidPerReadBefore())
+	if after.Engine == before.Engine || after.Generation != before.Generation+1 || after.Swaps != 1 {
+		t.Errorf("view after swap: same engine %v, generation %d → %d, %d swaps",
+			after.Engine == before.Engine, before.Generation, after.Generation, after.Swaps)
+	}
+	if after.ValidPerReadBefore <= 0 {
+		t.Errorf("ValidPerReadBefore = %v after swapping out a serving engine", after.ValidPerReadBefore)
 	}
 	if _, err := Run(s.Engine(), f.trace.Queries[:100], 2); err != nil {
 		t.Fatal(err)
 	}
-	final := s.Totals()
-	if final.Lookups != before.Lookups+100 {
-		t.Errorf("Lookups = %d, want %d", final.Lookups, before.Lookups+100)
+	final := s.View()
+	if final.Recovery.Lookups != 400 || final.Latency.Count != 400 {
+		t.Errorf("after 100 more: %d lookups, %d latency samples, want 400", final.Recovery.Lookups, final.Latency.Count)
 	}
-	if final.Retries < before.Retries {
-		t.Errorf("Retries dipped across swap: %d → %d", before.Retries, final.Retries)
+	want := before.Latency
+	want.Add(s.Engine().Latency.Snapshot())
+	if final.Latency != want {
+		t.Errorf("merged latency %v, want the retired engine's plus the live one's %v", final.Latency.Summary(), want.Summary())
+	}
+	if final.Recovery.Retries < before.Recovery.Retries {
+		t.Errorf("Retries dipped across swap: %d → %d", before.Recovery.Retries, final.Recovery.Retries)
 	}
 }
 

@@ -209,22 +209,7 @@ func (a *Array) Frontier() int64 {
 }
 
 // Stats implements Backend: activity summed across shards.
-func (a *Array) Stats() Stats {
-	var s Stats
-	for _, d := range a.devs {
-		ds := d.Stats()
-		s.Reads += ds.Reads
-		s.BytesRead += ds.BytesRead
-		s.BusyNS += ds.BusyNS
-		s.Errors += ds.Errors
-		s.Timeouts += ds.Timeouts
-		s.Corruptions += ds.Corruptions
-		s.InjectedLatencyNS += ds.InjectedLatencyNS
-		s.Writes += ds.Writes
-		s.BytesWritten += ds.BytesWritten
-	}
-	return s
-}
+func (a *Array) Stats() Stats { return sumStats(a.devs) }
 
 // ShardStats returns each member device's statistics, indexed by shard.
 func (a *Array) ShardStats() []Stats {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"maxembed/internal/metrics"
 	"maxembed/internal/store"
 )
 
@@ -42,7 +43,7 @@ type FileBackend struct {
 	shards []*Device // accounting shells: stats, fault counters, health taps
 	prof   Profile
 	health *HealthTracker
-	hists  []latHist
+	hists  []metrics.Recorder
 	free   []chan *PageBuf
 
 	rings  *ringPool    // nil: every read goes through the pread pool
@@ -135,7 +136,7 @@ func NewFileBackend(files []*store.FileStore, cfg FileBackendConfig) (*FileBacke
 	b := &FileBackend{
 		files:        files,
 		shards:       make([]*Device, n),
-		hists:        make([]latHist, n),
+		hists:        make([]metrics.Recorder, n),
 		free:         make([]chan *PageBuf, n),
 		now:          nw,
 		numPages:     numPages,
@@ -263,7 +264,7 @@ func (b *FileBackend) ReadPage(p PageID, dst []byte) error {
 	err := b.files[shard].ReadPage(local, dst)
 	busy := b.wallNS() - start
 	b.shards[shard].recordExternalRead(busy, err, false)
-	b.hists[shard].observe(busy)
+	b.hists[shard].Record(busy)
 	return err
 }
 
@@ -316,22 +317,7 @@ func (b *FileBackend) Shard(i int) *Device { return b.shards[i] }
 func (b *FileBackend) Frontier() int64 { return b.frontier.Load() }
 
 // Stats implements Backend: measured activity summed across shards.
-func (b *FileBackend) Stats() Stats {
-	var s Stats
-	for _, d := range b.shards {
-		ds := d.Stats()
-		s.Reads += ds.Reads
-		s.BytesRead += ds.BytesRead
-		s.BusyNS += ds.BusyNS
-		s.Errors += ds.Errors
-		s.Timeouts += ds.Timeouts
-		s.Corruptions += ds.Corruptions
-		s.InjectedLatencyNS += ds.InjectedLatencyNS
-		s.Writes += ds.Writes
-		s.BytesWritten += ds.BytesWritten
-	}
-	return s
-}
+func (b *FileBackend) Stats() Stats { return sumStats(b.shards) }
 
 // ShardStats returns each shard's measured statistics.
 func (b *FileBackend) ShardStats() []Stats {
@@ -349,7 +335,7 @@ func (b *FileBackend) Reset() {
 		d.Reset()
 	}
 	for i := range b.hists {
-		b.hists[i].reset()
+		b.hists[i].Reset()
 	}
 	b.enters.Store(0)
 	b.frontier.Store(0)
@@ -366,9 +352,10 @@ func (b *FileBackend) NewQueuePair() QueuePair {
 	return q
 }
 
-// ShardReadLatency implements ReadLatencyReporter.
-func (b *FileBackend) ShardReadLatency(shard int) ReadLatencySnapshot {
-	return b.hists[shard].snapshot()
+// ShardReadLatency returns shard's measured (wall-clock) read-latency
+// histogram; /metrics exports it.
+func (b *FileBackend) ShardReadLatency(shard int) metrics.LatencyHist {
+	return b.hists[shard].Snapshot()
 }
 
 // ConfigureHealth replaces the health tracker (see Array.ConfigureHealth).
@@ -422,69 +409,6 @@ func (b *FileBackend) NoteLatent(i int, n int64) { b.health.shards[i].latent.Add
 
 // OnFail registers the shard-failure hook (see Array.OnFail).
 func (b *FileBackend) OnFail(fn func(shard int)) { b.health.OnFail(fn) }
-
-// ReadLatencySnapshot is one shard's measured read-latency histogram:
-// per-bucket counts (the final bucket is unbounded), finite upper bounds
-// in nanoseconds, and the running count/sum for mean latency.
-type ReadLatencySnapshot struct {
-	UpperNS []int64 // len latHistBuckets-1; bucket i counts reads < UpperNS[i]
-	Counts  []int64 // len latHistBuckets; last bucket is +Inf
-	Count   int64
-	SumNS   int64
-}
-
-// ReadLatencyReporter is implemented by backends that measure per-shard
-// read latency (the file backend); /metrics exports it as a histogram.
-type ReadLatencyReporter interface {
-	ShardReadLatency(shard int) ReadLatencySnapshot
-}
-
-// latHistBuckets spans 1 µs to ~16.8 s in ×2 steps plus an overflow.
-const latHistBuckets = 25
-
-// latHist is a lock-free log2 latency histogram.
-type latHist struct {
-	counts [latHistBuckets]atomic.Int64
-	sumNS  atomic.Int64
-	n      atomic.Int64
-}
-
-func (h *latHist) observe(ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	b := 0
-	for b < latHistBuckets-1 && ns >= 1000<<b {
-		b++
-	}
-	h.counts[b].Add(1)
-	h.sumNS.Add(ns)
-	h.n.Add(1)
-}
-
-func (h *latHist) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.sumNS.Store(0)
-	h.n.Store(0)
-}
-
-func (h *latHist) snapshot() ReadLatencySnapshot {
-	s := ReadLatencySnapshot{
-		UpperNS: make([]int64, latHistBuckets-1),
-		Counts:  make([]int64, latHistBuckets),
-		Count:   h.n.Load(),
-		SumNS:   h.sumNS.Load(),
-	}
-	for i := range s.UpperNS {
-		s.UpperNS[i] = 1000 << i
-	}
-	for i := range s.Counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
 
 // fileReq is one read on its way to a ring or a shard's pread executor.
 type fileReq struct {
@@ -567,7 +491,7 @@ func (e *preadExec) run() {
 		end := fb.wallNS()
 		req.buf.img = img
 		shell.recordExternalRead(end-start, err, false)
-		hist.observe(end - req.submitWall)
+		hist.Record(end - req.submitWall)
 		req.out.push(fileComp{
 			global:       req.global,
 			buf:          req.buf,
@@ -666,7 +590,7 @@ func (q *FileQueue) Submit(page PageID, nowNS int64) int64 {
 // come).
 func (q *FileQueue) complete(shard int, req fileReq, end int64, err error) {
 	q.fb.shards[shard].recordExternalRead(end-req.submitWall, err, false)
-	q.fb.hists[shard].observe(end - req.submitWall)
+	q.fb.hists[shard].Record(end - req.submitWall)
 	q.scratch = append(q.scratch, fileComp{
 		global:       req.global,
 		buf:          req.buf,

@@ -55,6 +55,20 @@ func (s ShardState) String() string {
 	return fmt.Sprintf("ShardState(%d)", int32(s))
 }
 
+// MarshalText makes a state its name in JSON.
+func (s ShardState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads a state's name back.
+func (s *ShardState) UnmarshalText(text []byte) error {
+	for st := ShardHealthy; st <= ShardRebuilding; st++ {
+		if st.String() == string(text) {
+			*s = st
+			return nil
+		}
+	}
+	return fmt.Errorf("ssd: unknown shard state %q", text)
+}
+
 // Live reports whether a shard in this state should be offered reads by
 // the serving layer (failed and rebuilding shards should not).
 func (s ShardState) Live() bool { return s == ShardHealthy || s == ShardSuspect }
@@ -95,19 +109,20 @@ func (c HealthConfig) withDefaults() HealthConfig {
 // ShardHealthInfo is one shard's health snapshot.
 type ShardHealthInfo struct {
 	// Shard is the member index.
-	Shard int
-	// State is the current state-machine position.
-	State ShardState
+	Shard int `json:"shard"`
+	// State is the current state-machine position: its name in JSON, its
+	// number (0 healthy, 1 suspect, 2 failed, 3 rebuilding) as a gauge.
+	State ShardState `json:"state" prom:"state,gauge"`
 	// FaultRate is the fault fraction over the rolling window (0 when
 	// the window covers no reads).
-	FaultRate float64
+	FaultRate float64 `json:"fault_rate" prom:"fault_rate,gauge"`
 	// WindowReads is how many reads the window currently covers.
-	WindowReads int
+	WindowReads int `json:"window_reads"`
 	// LatentErrors counts at-rest corruption the scrubber found on this
 	// shard (cumulative).
-	LatentErrors int64
+	LatentErrors int64 `json:"latent_errors" prom:"latent_errors_total,counter"`
 	// Transitions counts state changes since construction.
-	Transitions int64
+	Transitions int64 `json:"transitions"`
 }
 
 // HealthReporter is the optional Backend face the serving layer consults

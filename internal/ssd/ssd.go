@@ -123,27 +123,50 @@ var (
 // Stats aggregates device activity since construction or the last Reset.
 type Stats struct {
 	// Reads is the number of page reads completed.
-	Reads int64
+	Reads int64 `json:"reads" prom:"reads_total,counter"`
 	// BytesRead is Reads × PageSize.
-	BytesRead int64
+	BytesRead int64 `json:"bytes_read" prom:"bytes_read_total,counter"`
 	// BusyNS is the total channel-occupancy in virtual nanoseconds,
 	// summed over channels.
-	BusyNS int64
+	BusyNS int64 `json:"-"`
 	// Errors is the number of reads that failed via fault injection
 	// (ErrReadFailed and ErrTimeout alike).
-	Errors int64
+	Errors int64 `json:"errors" prom:"errors_total,counter"`
 	// Timeouts is the subset of Errors that were stuck commands.
-	Timeouts int64
+	Timeouts int64 `json:"timeouts" prom:"timeouts_total,counter"`
 	// Corruptions is the number of reads that completed successfully but
 	// delivered a corrupted payload.
-	Corruptions int64
+	Corruptions int64 `json:"corruptions" prom:"corruptions_total,counter"`
 	// InjectedLatencyNS is the total extra device occupancy charged by
 	// injected latency spikes, slow channels, and stuck commands.
-	InjectedLatencyNS int64
+	InjectedLatencyNS int64 `json:"-"`
 	// Writes is the number of page writes completed; BytesWritten is
 	// Writes × PageSize.
-	Writes       int64
-	BytesWritten int64
+	Writes       int64 `json:"-"`
+	BytesWritten int64 `json:"-"`
+}
+
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Reads += o.Reads
+	s.BytesRead += o.BytesRead
+	s.BusyNS += o.BusyNS
+	s.Errors += o.Errors
+	s.Timeouts += o.Timeouts
+	s.Corruptions += o.Corruptions
+	s.InjectedLatencyNS += o.InjectedLatencyNS
+	s.Writes += o.Writes
+	s.BytesWritten += o.BytesWritten
+}
+
+// sumStats adds up the statistics of the member devices of a multi-device
+// backend.
+func sumStats(devs []*Device) Stats {
+	var s Stats
+	for _, d := range devs {
+		s.Add(d.Stats())
+	}
+	return s
 }
 
 // Faults returns the total number of injected faults the reader must

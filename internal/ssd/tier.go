@@ -160,17 +160,7 @@ func (a *Array) TierShardMap() []int {
 func (a *Array) TierStats() []Stats {
 	out := make([]Stats, len(a.tiers))
 	for i, d := range a.devs {
-		ds := d.Stats()
-		s := &out[a.tierOf[i]]
-		s.Reads += ds.Reads
-		s.BytesRead += ds.BytesRead
-		s.BusyNS += ds.BusyNS
-		s.Errors += ds.Errors
-		s.Timeouts += ds.Timeouts
-		s.Corruptions += ds.Corruptions
-		s.InjectedLatencyNS += ds.InjectedLatencyNS
-		s.Writes += ds.Writes
-		s.BytesWritten += ds.BytesWritten
+		out[a.tierOf[i]].Add(d.Stats())
 	}
 	return out
 }
