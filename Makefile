@@ -75,9 +75,12 @@ TestFileBackend .
 # The one read path on both backends: the simulator-vs-file differential
 # and the reroute-dedupe regression.
 TestSimAndFileResultsIdentical|TestRerouteNeverPlansAPageTwice ./internal/serving
-# Cache admission with workers contending for one tiny cache (evicting and
-# never-evicting inserts interleaved), and the server binary's serve
-# function: deadlines, and SIGTERM with a lookup in flight.
+# Cache admission with workers contending for one tiny cache (evicting,
+# gated and never-evicting inserts interleaved, the frequency sketch counted
+# and halved underneath, probes that touch and probes that do not), and the
+# server binary's serve function: deadlines, and SIGTERM with a lookup in
+# flight.
+TestConcurrentGatedInserts|TestConcurrentAccess ./internal/cache
 TestConcurrentCachedLookups|TestAdmission ./internal/serving
 TestServe ./cmd/maxembed-server
 endef
@@ -92,18 +95,19 @@ race-stress:
 # The read path's hard allocation gate: once warm, a lookup (single and
 # batched) must allocate nothing at all, over the real-I/O backend and over
 # the simulator with a store (they run the same code), without a DRAM
-# cache and with one that evicts on every call; so must the cache's
-# own Get/Put/PutIfRoom mix and the slab behind it, the two histograms every
+# cache and with one that is offered keys on every call; so must the cache's
+# own Get/Put/PutIfRoom/PutIfHotter mix, sketch included, over a fill and
+# in steady state, and the slab behind it, the two histograms every
 # lookup records into (metrics.Recorder, metrics.IntHist), and the
 # /v1/lookup JSON codec (request decode and reply encode at 0, the whole
 # handler at a small constant independent of key count). CI runs this as
-# the bench-smoke gate, with one pass of the evicting-Put and codec
-# benchmarks for their B/op.
+# the bench-smoke gate, with one pass of the evicting-Put, gated-Put and
+# codec benchmarks for their B/op.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestRecorderBounded|TestIntHistAddZeroAllocs' -v ./internal/metrics
 	$(GO) test -count=1 -run 'TestFileBackendLookupZeroAllocs|TestFileBackendBatchZeroAllocs' -v ./internal/serving
 	$(GO) test -count=1 -run 'TestCacheHitPathAllocs|TestCachePutAllocBudget|TestCacheFillAllocBudget|TestSlabCarvesAndRecycles' -v ./internal/cache
-	$(GO) test -run '^$$' -bench 'BenchmarkCachePutEvict|BenchmarkSegmentedPutEvict' -benchtime=1x -benchmem ./internal/cache
+	$(GO) test -run '^$$' -bench 'BenchmarkCachePutEvict|BenchmarkCachePutIfHotter' -benchtime=1x -benchmem ./internal/cache
 	$(GO) test -count=1 -run 'TestHandlerLookupSteadyStateAllocs|TestDecodeLookupKeysZeroAllocs|TestEncodeJSONZeroAllocs' -v ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkEncodeJSON|BenchmarkDecodeLookupKeys' -benchtime=1x -benchmem ./internal/server
 
@@ -131,10 +135,14 @@ experiment coactsweep
 # io_uring at least half a query's pages per io_uring_enter, pool-worker
 # throughput that never collapses.
 experiment hwsweep
-# Page-cost cache admission never reads more than 1% above the paper's
-# admit-everything LRU in any (profile, cache ratio, policy) cell and at
-# least 12% less on Criteo at a 10% cache.
+# Frequency-gated page-cost cache admission never reads more than 1% above
+# the paper's admit-everything LRU in any (profile, cache ratio) cell and at
+# least 20% less on Criteo at a 10% cache.
 experiment admitsweep
+# The same cache after a popularity shift and after a cold scan of the
+# history: back at or below admit-everything within two cache capacities of
+# lookups, within 5% of its own steady state by the end of the run.
+experiment shiftsweep
 # The default base partitioner (co-appearance page growth) against the
 # paper's SHP on all five profiles: no more pages per live query bare or
 # replicated, at least 8% fewer on Criteo, no longer to build.

@@ -50,6 +50,23 @@ func BenchmarkCachePutEvict(b *testing.B) {
 	}
 }
 
+// BenchmarkCachePutIfHotter offers a full cache a stream of keys in which a
+// few recur — the gated insert's mix of sketch counts, rejections and the
+// occasional eviction.
+func BenchmarkCachePutIfHotter(b *testing.B) {
+	c := benchCache(100_000)
+	vec := make([]float32, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := uint32(100_000 + i)
+		if i%4 == 0 {
+			k = uint32(100_000 + i%1024)
+		}
+		c.PutIfHotter(k, vec)
+	}
+}
+
 func BenchmarkCacheParallelMixed(b *testing.B) {
 	c := benchCache(100_000)
 	vec := make([]float32, 64)

@@ -5,10 +5,11 @@
 // configuration (§8.1). CacheLib is a C++ library and is not available
 // here, so this package provides an LRU with the same externally
 // observable semantics: bounded entry count, recency updated on Get,
-// insertion at the head on Put, eviction from the tail. PutIfRoom is the
-// one addition: an insert that never evicts, for callers that admit
-// selectively. Sharding keeps contention low for the multi-worker serving
-// engine.
+// insertion at the head on Put, eviction from the tail. Two more inserts
+// serve callers that admit selectively: PutIfRoom never evicts, and
+// PutIfHotter evicts only for a key the shard's frequency sketch (sketch.go)
+// has counted more often than the victim. Sharding keeps contention low for
+// the multi-worker serving engine.
 //
 // Like CacheLib, the cache takes its memory when it is built and serving
 // never touches the heap: each shard keeps its entries in a slab of
@@ -26,10 +27,8 @@ import (
 // Hasher maps a key to a shard-selection hash. It must be deterministic.
 type Hasher[K comparable] func(K) uint64
 
-// Stats aggregates cache activity. The per-segment fields are only
-// meaningful under the segmented policy (probation/protected); a plain LRU
-// reports its whole population as probation. Pinned* cover the immutable
-// pin-set installed with Pin, which lives outside the LRU segments.
+// Stats aggregates cache activity. Pinned* cover the immutable pin-set
+// installed with Pin, which lives outside the LRU.
 type Stats struct {
 	Hits      int64 `json:"hits" prom:"hits_total,counter"`
 	Misses    int64 `json:"misses" prom:"misses_total,counter"`
@@ -37,18 +36,11 @@ type Stats struct {
 	// Bypassed counts PutIfRoom calls that found no free slot and cached
 	// nothing.
 	Bypassed int64 `json:"bypassed" prom:"bypassed_total,counter"`
-
-	// Segment occupancy at snapshot time.
-	ProbationLen int `json:"probation_entries" prom:"probation_entries,gauge"`
-	ProtectedLen int `json:"protected_entries" prom:"protected_entries,gauge"`
-	// Per-segment eviction counters (ProbationEvictions + the plain-LRU
-	// evictions sum to Evictions together with ProtectedEvictions).
-	ProbationEvictions int64 `json:"probation_evictions" prom:"probation_evictions_total,counter"`
-	ProtectedEvictions int64 `json:"protected_evictions" prom:"protected_evictions_total,counter"`
-	// Promotions counts probation → protected moves (first hit);
-	// Demotions counts protected → probation displacements.
-	Promotions int64 `json:"promotions" prom:"promotions_total,counter"`
-	Demotions  int64 `json:"demotions" prom:"demotions_total,counter"`
+	// Rejected counts PutIfHotter calls that found no free slot and a
+	// victim counted at least as often as their key, and cached nothing.
+	Rejected int64 `json:"rejected" prom:"rejected_total,counter"`
+	// SketchResets counts the halvings of a shard's frequency sketch.
+	SketchResets int64 `json:"sketch_resets" prom:"sketch_resets_total,counter"`
 
 	// PinnedEntries is the pin-set size; PinnedHits counts Gets served
 	// from it (also included in Hits).
@@ -90,50 +82,39 @@ type Cache[K comparable, V any] struct {
 	misses     atomic.Int64
 	evictions  atomic.Int64
 	bypassed   atomic.Int64
+	rejected   atomic.Int64
 	pinnedHits atomic.Int64
 }
 
-// Segment ids. Each doubles as the slab index of its segment's list
-// sentinel, so entry nodes start at firstEntry.
+// sentinel is the slab index of the recency list's sentinel, so entry nodes
+// start at firstEntry.
 const (
-	probation  = 0
-	protected  = 1
-	firstEntry = 2
+	sentinel   = 0
+	firstEntry = 1
 )
 
-// node is one slab slot: an entry linked into its segment's recency list,
-// or a free slot chained through next.
+// node is one slab slot: an entry linked into the recency list, or a free
+// slot chained through next.
 type node[K comparable, V any] struct {
 	key        K
 	val        V
 	prev, next uint32
-	seg        uint8
 }
 
-// shard is one lock domain: a key index over a slab of nodes, both sized for
-// capacity when the shard is built, so a filling cache allocates no more
-// than a full one. nodes[probation] and nodes[protected] are the
-// sentinels of two circular recency lists (sentinel.next is the most
-// recent entry, sentinel.prev the eviction victim); a plain LRU keeps
-// everything on the probation list. Links are uint32 slab indexes, so a
-// shard holds at most 2^32-3 entries.
+// shard is one lock domain: a key index over a slab of nodes and a frequency
+// sketch, all sized for capacity when the shard is built, so a filling cache
+// allocates no more than a full one. nodes[sentinel] closes the circular
+// recency list (its next is the most recent entry, its prev the eviction
+// victim). Links are uint32 slab indexes, so a shard holds at most 2^32-2
+// entries.
 type shard[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
 	index    map[K]uint32
 	nodes    []node[K, V]
-	free     uint32 // head of the free chain; 0 (a sentinel) means empty
-	segLen   [2]int
-
-	// Segmented (2Q-style) policy state; see segmented.go.
-	segmented    bool
-	protectedCap int
-
-	// Per-segment activity, guarded by mu (summed into Stats on demand;
-	// plain ints keep the hot path free of extra atomic traffic).
-	evicted    [2]int64
-	promotions int64
-	demotions  int64
+	free     uint32 // head of the free chain; 0 (the sentinel) means empty
+	len      int
+	freq     sketch
 }
 
 // New returns a cache holding at most capacity entries, split over a
@@ -185,7 +166,7 @@ func NewSharded[K comparable, V any](capacity, nShards int, hash Hasher[K]) *Cac
 		}
 		s.index = make(map[K]uint32, s.capacity)
 		s.nodes = make([]node[K, V], firstEntry, firstEntry+s.capacity)
-		s.nodes[protected].prev, s.nodes[protected].next = protected, protected
+		s.freq = newSketch(s.capacity)
 	}
 	return c
 }
@@ -201,8 +182,11 @@ func Uint32Hasher(k uint32) uint64 {
 	return x
 }
 
-func (c *Cache[K, V]) shardFor(k K) *shard[K, V] {
-	return &c.shards[c.hash(k)&c.mask]
+// shardFor returns k's shard and k's hash, which the shard's sketch files
+// k under.
+func (c *Cache[K, V]) shardFor(k K) (*shard[K, V], uint64) {
+	h := c.hash(k)
+	return &c.shards[h&c.mask], h
 }
 
 // Pin installs k as a permanent DRAM-resident entry: it always hits and
@@ -220,7 +204,8 @@ func (c *Cache[K, V]) Pin(k K, v V) {
 func (c *Cache[K, V]) PinnedLen() int { return len(c.pinned) }
 
 // Get returns the cached value for k, promoting it to most-recently-used
-// (update-on-read). The second result reports whether k was present.
+// (update-on-read) and counting the hit in the shard's sketch. The second
+// result reports whether k was present.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	if v, ok := c.pinned[k]; ok {
 		c.pinnedHits.Add(1)
@@ -228,11 +213,12 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 		return v, true
 	}
 	var v V
-	s := c.shardFor(k)
+	s, h := c.shardFor(k)
 	s.mu.Lock()
-	n, ok := s.touch(k)
+	n, ok := s.index[k]
 	if ok {
 		v = s.nodes[n].val
+		s.touch(n, h)
 	}
 	s.mu.Unlock()
 	c.count(ok)
@@ -244,20 +230,47 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 // still held, so the copy cannot observe a concurrent Put's displaced
 // value being refilled.
 func GetAppend[K comparable, E any](c *Cache[K, []E], k K, dst []E) ([]E, bool) {
+	return getAppend(c, k, dst, true)
+}
+
+// PeekAppend is GetAppend that leaves k where it is: the hit counts in
+// Stats, but k is neither promoted nor counted in the sketch. It is for
+// callers that learn only after the read what the hit was worth, and follow
+// up with Touch.
+func PeekAppend[K comparable, E any](c *Cache[K, []E], k K, dst []E) ([]E, bool) {
+	return getAppend(c, k, dst, false)
+}
+
+func getAppend[K comparable, E any](c *Cache[K, []E], k K, dst []E, touch bool) ([]E, bool) {
 	if v, ok := c.pinned[k]; ok {
 		c.pinnedHits.Add(1)
 		c.hits.Add(1)
 		return append(dst, v...), true
 	}
-	s := c.shardFor(k)
+	s, h := c.shardFor(k)
 	s.mu.Lock()
-	n, ok := s.touch(k)
+	n, ok := s.index[k]
 	if ok {
 		dst = append(dst, s.nodes[n].val...)
+		if touch {
+			s.touch(n, h)
+		}
 	}
 	s.mu.Unlock()
 	c.count(ok)
 	return dst, ok
+}
+
+// Touch gives k, if it is cached, what a Get hit gives it — promotion to
+// most-recently-used and one count in the sketch — without reading it or
+// counting in Stats.
+func (c *Cache[K, V]) Touch(k K) {
+	s, h := c.shardFor(k)
+	s.mu.Lock()
+	if n, ok := s.index[k]; ok {
+		s.touch(n, h)
+	}
+	s.mu.Unlock()
 }
 
 func (c *Cache[K, V]) count(hit bool) {
@@ -274,12 +287,21 @@ func (c *Cache[K, V]) Contains(k K) bool {
 	if _, ok := c.pinned[k]; ok {
 		return true
 	}
-	s := c.shardFor(k)
+	s, _ := c.shardFor(k)
 	s.mu.Lock()
 	_, ok := s.index[k]
 	s.mu.Unlock()
 	return ok
 }
+
+// eviction is what an insert may do to a full shard.
+type eviction uint8
+
+const (
+	evictAlways   eviction = iota // Put
+	evictIfHotter                 // PutIfHotter
+	evictNever                    // PutIfRoom
+)
 
 // Put inserts or replaces the value for k at the most-recently-used
 // position, evicting the least-recently-used entry of k's shard if the
@@ -291,7 +313,7 @@ func (c *Cache[K, V]) Contains(k K) bool {
 // back with displaced set: the evicted entry's, the replaced one's, or v
 // itself when k's shard has no capacity. The caller owns it again.
 func (c *Cache[K, V]) Put(k K, v V) (old V, displaced bool) {
-	return c.put(k, v, true)
+	return c.put(k, v, evictAlways)
 }
 
 // PutIfRoom is Put that never evicts: a key that is new to a full shard is
@@ -299,79 +321,96 @@ func (c *Cache[K, V]) Put(k K, v V) (old V, displaced bool) {
 // without capacity. Replacing a present key and filling a free slot behave
 // as in Put.
 func (c *Cache[K, V]) PutIfRoom(k K, v V) (old V, displaced bool) {
-	return c.put(k, v, false)
+	return c.put(k, v, evictNever)
 }
 
-func (c *Cache[K, V]) put(k K, v V, mayEvict bool) (old V, displaced bool) {
-	evicted, bypassed := false, false
-	s := c.shardFor(k)
+// PutIfHotter is Put that evicts only for a hotter key. The call itself is
+// counted in the shard's sketch; then a key that is new to a full shard
+// takes the least-recently-used entry's place only if the sketch estimates
+// it strictly higher than that entry. Otherwise it is not cached, v coming
+// back as from PutIfRoom, and the entry that held its place is moved to the
+// most-recently-used position, so that the shard's next offer is weighed
+// against a different one. A key seen once therefore never evicts an entry
+// that was read, and an entry that stops being read loses its place once the
+// sketch's halving has aged its count below a newcomer's.
+func (c *Cache[K, V]) PutIfHotter(k K, v V) (old V, displaced bool) {
+	return c.put(k, v, evictIfHotter)
+}
+
+func (c *Cache[K, V]) put(k K, v V, may eviction) (old V, displaced bool) {
+	var outcome *atomic.Int64 // what a full shard did with the offer, counted once unlocked
+	s, h := c.shardFor(k)
 	s.mu.Lock()
+	if may == evictIfHotter {
+		s.freq.add(h)
+	}
 	n, present := s.index[k]
-	full := s.len() >= s.capacity
+	full := s.len >= s.capacity
 	switch {
 	case present:
 		old, displaced = s.nodes[n].val, true
 		s.nodes[n].val = v
-		s.moveToFront(n, s.nodes[n].seg)
-	case full && (!mayEvict || s.capacity <= 0):
-		old, displaced, bypassed = v, true, !mayEvict
+		s.moveToFront(n)
+	case full && s.capacity <= 0:
+		old, displaced = v, true
+	case full && may == evictNever:
+		old, displaced, outcome = v, true, &c.bypassed
+	case full && may == evictIfHotter && !c.hotterThanVictim(s, h):
+		// The victim outlasts the offer and moves to the front: the next
+		// offer meets the next entry in line, not one counted entry
+		// holding the tail against all comers.
+		old, displaced, outcome = v, true, &c.rejected
+		s.moveToFront(s.nodes[sentinel].prev)
 	default:
 		if full {
-			old, displaced, evicted = s.evict(), true, true
+			old, displaced, outcome = s.evict(), true, &c.evictions
 		}
-		// New entries start in the probation segment (plain LRU has only
-		// that segment).
 		n = s.alloc()
 		s.nodes[n].key, s.nodes[n].val = k, v
 		s.index[k] = n
-		s.pushFront(n, probation)
+		s.pushFront(n)
 	}
 	s.mu.Unlock()
-	if evicted {
-		c.evictions.Add(1)
-	} else if bypassed {
-		c.bypassed.Add(1)
+	if outcome != nil {
+		outcome.Add(1)
 	}
 	return old, displaced
 }
 
 // The methods below require the shard lock.
 
-func (s *shard[K, V]) len() int { return s.segLen[probation] + s.segLen[protected] }
+// hotterThanVictim reports whether the sketch of s, a shard holding at least
+// one entry, estimates hash h strictly above its least-recently-used entry.
+func (c *Cache[K, V]) hotterThanVictim(s *shard[K, V], h uint64) bool {
+	victim := s.nodes[s.nodes[sentinel].prev].key
+	return s.freq.estimate(h) > s.freq.estimate(c.hash(victim))
+}
 
 func (s *shard[K, V]) unlink(n uint32) {
 	e := &s.nodes[n]
 	s.nodes[e.prev].next = e.next
 	s.nodes[e.next].prev = e.prev
-	s.segLen[e.seg]--
+	s.len--
 }
 
-func (s *shard[K, V]) pushFront(n uint32, seg uint8) {
-	head := uint32(seg)
+func (s *shard[K, V]) pushFront(n uint32) {
 	e := &s.nodes[n]
-	e.seg, e.prev, e.next = seg, head, s.nodes[head].next
+	e.prev, e.next = sentinel, s.nodes[sentinel].next
 	s.nodes[e.next].prev = n
-	s.nodes[head].next = n
-	s.segLen[seg]++
+	s.nodes[sentinel].next = n
+	s.len++
 }
 
-func (s *shard[K, V]) moveToFront(n uint32, seg uint8) {
+func (s *shard[K, V]) moveToFront(n uint32) {
 	s.unlink(n)
-	s.pushFront(n, seg)
+	s.pushFront(n)
 }
 
-// touch looks k up and, on a hit, applies the read's recency update.
-func (s *shard[K, V]) touch(k K) (uint32, bool) {
-	n, ok := s.index[k]
-	if !ok {
-		return 0, false
-	}
-	if s.segmented && s.nodes[n].seg == probation {
-		s.promote(n)
-	} else {
-		s.moveToFront(n, s.nodes[n].seg)
-	}
-	return n, true
+// touch applies a read's recency update to entry n and counts the read in
+// the sketch under the entry's hash h.
+func (s *shard[K, V]) touch(n uint32, h uint64) {
+	s.moveToFront(n)
+	s.freq.add(h)
 }
 
 // alloc returns an unlinked slot of a shard that is below capacity: a freed
@@ -385,18 +424,13 @@ func (s *shard[K, V]) alloc() uint32 {
 	return uint32(len(s.nodes) - 1)
 }
 
-// evict removes the eviction victim of a shard that holds at least one
-// entry — the probation LRU, or the protected LRU when probation is empty
-// — charges the victim's segment counter, and returns its value.
+// evict removes the least-recently-used entry of a shard that holds at
+// least one and returns its value.
 func (s *shard[K, V]) evict() V {
-	n := s.nodes[probation].prev
-	if n == probation {
-		n = s.nodes[protected].prev
-	}
+	n := s.nodes[sentinel].prev
 	e := &s.nodes[n]
 	v := e.val
 	s.unlink(n)
-	s.evicted[e.seg]++
 	delete(s.index, e.key)
 	*e = node[K, V]{next: s.free}
 	s.free = n
@@ -409,7 +443,7 @@ func (c *Cache[K, V]) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.len()
+		n += s.len
 		s.mu.Unlock()
 	}
 	return n
@@ -424,44 +458,39 @@ func (c *Cache[K, V]) Capacity() int {
 	return n
 }
 
-// Stats returns a snapshot of hit/miss/eviction counters, per-segment
-// occupancy and activity, and pin-set accounting.
+// Stats returns a snapshot of the activity counters and pin-set accounting.
 func (c *Cache[K, V]) Stats() Stats {
 	st := Stats{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
 		Bypassed:      c.bypassed.Load(),
+		Rejected:      c.rejected.Load(),
 		PinnedEntries: len(c.pinned),
 		PinnedHits:    c.pinnedHits.Load(),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.ProbationLen += s.segLen[probation]
-		st.ProtectedLen += s.segLen[protected]
-		st.ProbationEvictions += s.evicted[probation]
-		st.ProtectedEvictions += s.evicted[protected]
-		st.Promotions += s.promotions
-		st.Demotions += s.demotions
+		st.SketchResets += s.freq.resets
 		s.mu.Unlock()
 	}
 	return st
 }
 
-// ResetStats zeroes the statistics counters without touching contents.
+// ResetStats zeroes the statistics counters without touching contents or
+// the sketches' counts.
 func (c *Cache[K, V]) ResetStats() {
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)
 	c.bypassed.Store(0)
+	c.rejected.Store(0)
 	c.pinnedHits.Store(0)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.evicted = [2]int64{}
-		s.promotions = 0
-		s.demotions = 0
+		s.freq.resets = 0
 		s.mu.Unlock()
 	}
 }

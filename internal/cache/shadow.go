@@ -12,7 +12,9 @@ import (
 // at capacities the real cache does not have — the Bandana technique for
 // sizing DRAM per table from measurement instead of guesses. The curve
 // then picks both the DRAM size and (via the page-heat analogue) the
-// fast-tier cut point.
+// fast-tier cut point. What it predicts is plain LRU: a cache filled through
+// PutIfHotter keeps what it has counted most and hits more often than the
+// ghost of its size says, so as a sizing guide the curve is conservative.
 //
 // All state is preallocated at construction: every simulated LRU is an
 // intrusive doubly-linked list over fixed index arrays with a free list,

@@ -24,9 +24,9 @@ func cacheProfiles() []workload.Profile {
 // benefit from replication even when the cache absorbs the hot set.
 //
 // Those columns run the paper's admit-everything cache. The last column is
-// not in the paper: MaxEmbed at r=20% under the page-cost admission rule the
-// serving engine ships with, same warm-up, for comparison with the
-// ME(r=20%) column (AdmitSweep is the full comparison).
+// not in the paper: MaxEmbed at r=20% under the frequency-gated page-cost
+// admission the serving engine ships with, same warm-up, for comparison with
+// the ME(r=20%) column (AdmitSweep is the full comparison).
 func Fig12(cfg Config) error {
 	cfg = cfg.withDefaults()
 	cacheRatios := []float64{0.01, 0.02, 0.03, 0.05, 0.10, 0.20, 0.40}
@@ -49,7 +49,7 @@ func Fig12(cfg Config) error {
 				fmt.Sprintf("ME(r=%.0f%%)", r*100), placement.StrategyMaxEmbed, r, true,
 			})
 		}
-		variants = append(variants, variant{"ME(r=20%) page-cost", placement.StrategyMaxEmbed, 0.20, false})
+		variants = append(variants, variant{"ME(r=20%) gated", placement.StrategyMaxEmbed, 0.20, false})
 		for _, v := range variants {
 			header = append(header, v.name)
 		}

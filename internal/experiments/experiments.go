@@ -118,7 +118,8 @@ func All() []Experiment {
 		{"tiersweep", "Supplementary: hotness-tiered memory hierarchy at equal TCO", TierSweep},
 		{"coactsweep", "Supplementary: co-activation-aware cross-SSD placement vs blind striping", CoactSweep},
 		{"hwsweep", "Supplementary: real async I/O backend vs simulator, with hard host-overhead and scaling budgets", HWSweep},
-		{"admitsweep", "Supplementary: page-cost-aware cache admission vs the paper's admit-everything LRU", AdmitSweep},
+		{"admitsweep", "Supplementary: frequency-gated page-cost cache admission vs the paper's admit-everything LRU", AdmitSweep},
+		{"shiftsweep", "Supplementary: cache recovery after a popularity shift and after a cold scan, gate vs admit-everything", ShiftSweep},
 	}
 }
 
@@ -239,7 +240,6 @@ type servingOpts struct {
 	device     ssd.Profile
 	devices    int     // stripe over this many devices (≤1 = single)
 	cacheRatio float64 // fraction of the key space; 0 disables
-	segmented  bool    // segmented LRU instead of plain
 	admitAll   bool    // the paper's admit-everything cache (serving.Config.AdmitAll)
 	indexLimit int
 	pipeline   bool
@@ -264,33 +264,41 @@ func defaultServing() servingOpts {
 
 // serve runs the eval trace through a timing-only engine over the layout.
 func serve(cfg Config, pr *prepared, lay *layout.Layout, so servingOpts) (serving.RunResult, error) {
+	eng, err := newEngine(cfg, pr, lay, so)
+	if err != nil {
+		return serving.RunResult{}, err
+	}
+	return serving.Run(eng, pr.eval.Queries, cfg.Workers)
+}
+
+// newEngine builds serve's timing-only engine and warms its cache.
+func newEngine(cfg Config, pr *prepared, lay *layout.Layout, so servingOpts) (*serving.Engine, error) {
 	cacheEntries := int(so.cacheRatio * float64(lay.NumKeys))
 	engCfg := serving.Config{
-		Layout:         lay,
-		CacheEntries:   cacheEntries,
-		SegmentedCache: so.segmented,
-		AdmitAll:       so.admitAll,
-		IndexLimit:     so.indexLimit,
-		Pipeline:       so.pipeline,
-		Greedy:         so.greedy,
-		VectorBytes:    embedding.BytesPerVector(cfg.Dim),
+		Layout:       lay,
+		CacheEntries: cacheEntries,
+		AdmitAll:     so.admitAll,
+		IndexLimit:   so.indexLimit,
+		Pipeline:     so.pipeline,
+		Greedy:       so.greedy,
+		VectorBytes:  embedding.BytesPerVector(cfg.Dim),
 	}
 	if so.devices > 1 {
 		arr, err := ssd.NewArray(so.device, so.devices)
 		if err != nil {
-			return serving.RunResult{}, err
+			return nil, err
 		}
 		engCfg.Backend = arr
 	} else {
 		dev, err := ssd.NewDevice(so.device)
 		if err != nil {
-			return serving.RunResult{}, err
+			return nil, err
 		}
 		engCfg.Device = dev
 	}
 	eng, err := serving.New(engCfg)
 	if err != nil {
-		return serving.RunResult{}, err
+		return nil, err
 	}
 	if so.warm && cacheEntries > 0 {
 		if so.warmByServing {
@@ -299,10 +307,10 @@ func serve(cfg Config, pr *prepared, lay *layout.Layout, so servingOpts) (servin
 			err = eng.WarmCache(pr.history.Queries)
 		}
 		if err != nil {
-			return serving.RunResult{}, err
+			return nil, err
 		}
 	}
-	return serving.Run(eng, pr.eval.Queries, cfg.Workers)
+	return eng, nil
 }
 
 // table is a small helper for aligned output.

@@ -100,10 +100,11 @@ type ShardLatency struct {
 }
 
 // CacheStatsEntry is the DRAM cache's slice of /v1/stats: the cache's own
-// counters (per-segment occupancy and churn under the segmented policy,
-// the pin-set counters, and Bypassed — keys read from a shared page that
-// found their cache shard full — beside Evictions, each of which made room
-// for an admitted key) plus what is derived from them.
+// counters (the pin-set's, and the three outcomes of offering a full shard a
+// key — Evictions, each of which made room for an admitted key; Rejected,
+// solo-read keys the frequency gate turned down; Bypassed, keys read from a
+// shared page — with SketchResets, the halvings that age the gate's counts)
+// plus what is derived from them.
 type CacheStatsEntry struct {
 	cache.Stats
 	HitRate float64 `json:"hit_rate"`

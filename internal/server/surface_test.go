@@ -70,7 +70,7 @@ func (a *surfaceAdmin) Scrub(ctx context.Context, cfg serving.ScrubConfig) (serv
 }
 
 // newSurfaceServer is a handler with every stats block live: a tiered
-// 4-shard array with a hot spare, a segmented cache, shadow caches, the
+// 4-shard array with a hot spare, a cache, shadow caches, the
 // coalescer, a despread report, a refresh source and the scrub/rebuild
 // admin.
 func newSurfaceServer(t *testing.T) (*httptest.Server, *Handler, *workload.Trace) {
@@ -128,7 +128,7 @@ func newSurfaceServer(t *testing.T) (*httptest.Server, *Handler, *workload.Trace
 	}
 	cfg := serving.Config{
 		Layout: lay, Backend: arr, Store: sh,
-		CacheEntries: 64, SegmentedCache: true, ShadowSizes: []int{32, 128},
+		CacheEntries: 64, ShadowSizes: []int{32, 128},
 		IndexLimit: 10, Pipeline: true,
 	}
 	eng, err := serving.New(cfg)

@@ -24,20 +24,22 @@ func (f *fixture) bothBackends(t *testing.T, mutate func(*Config)) map[string]*E
 	}
 }
 
-// TestAdmissionFollowsReadWidth pins the page-cost rule on both backends,
-// for isolated lookups and for batches (where the width is the union
-// pass's). The read widths come from the worker's plan — no faults here, so
-// every planned page is one read — not from the record admission itself
-// goes by.
+// TestAdmissionFollowsReadWidth pins the page-cost side of admission on both
+// backends, for isolated lookups and for batches (where the width is the
+// union pass's): a key from a shared read never evicts, a solo key is put to
+// the cache's frequency gate. The read widths come from the worker's plan —
+// no faults here, so every planned page is one read — not from the record
+// admission itself goes by.
 func TestAdmissionFollowsReadWidth(t *testing.T) {
 	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
 	for _, batch := range []int{1, 4} {
 		for name, e := range f.bothBackends(t, func(c *Config) { c.CacheEntries = 40 }) {
 			t.Run(fmt.Sprintf("%s/batch=%d", name, batch), func(t *testing.T) {
 				w, c := e.NewWorker(), e.Cache()
-				var soloReads, sharedReads int
+				var soloReads, sharedReads, evictions int
 				for qi := 0; qi+batch <= 600; qi += batch {
-					full := c.Len() == c.Capacity()
+					held := c.Len()
+					full := held == c.Capacity()
 					before := c.Stats()
 					if _, err := w.LookupBatch(f.trace.Queries[qi : qi+batch]); err != nil {
 						t.Fatal(err)
@@ -52,27 +54,30 @@ func TestAdmissionFollowsReadWidth(t *testing.T) {
 					}
 					after := c.Stats()
 					evicted, bypassed := after.Evictions-before.Evictions, after.Bypassed-before.Bypassed
-					grown := int64(c.Len() - before.ProbationLen - before.ProtectedLen)
-					// Every key read took a free slot, took a victim's, or was
-					// passed by.
-					if grown+evicted+bypassed != int64(solo+shared) {
-						t.Fatalf("lookup %d: %d keys read, but %d slots filled + %d evictions + %d bypassed",
-							qi, solo+shared, grown, evicted, bypassed)
+					rejected := after.Rejected - before.Rejected
+					grown := int64(c.Len() - held)
+					// Every key read took a free slot, took a victim's, was
+					// turned down by the gate or was passed by.
+					if grown+evicted+rejected+bypassed != int64(solo+shared) {
+						t.Fatalf("lookup %d: %d keys read, but %d slots filled + %d evictions + %d rejected + %d bypassed",
+							qi, solo+shared, grown, evicted, rejected, bypassed)
 					}
 					if !full {
 						continue
 					}
-					// Full: a solo key evicts exactly one entry, a key from a
-					// shared read changes nothing.
-					if evicted != int64(solo) || bypassed != int64(shared) || grown != 0 {
-						t.Fatalf("lookup %d on a full cache: %d solo keys and %d from shared reads gave %d evictions, %d bypassed, %+d entries",
-							qi, solo, shared, evicted, bypassed, grown)
+					// Full: a solo key evicts exactly one entry or is
+					// rejected, a key from a shared read changes nothing.
+					if evicted+rejected != int64(solo) || bypassed != int64(shared) || grown != 0 {
+						t.Fatalf("lookup %d on a full cache: %d solo keys and %d from shared reads gave %d evictions, %d rejected, %d bypassed, %+d entries",
+							qi, solo, shared, evicted, rejected, bypassed, grown)
 					}
 					soloReads += solo
 					sharedReads += shared
+					evictions += int(evicted)
 				}
-				if soloReads == 0 || sharedReads == 0 {
-					t.Fatalf("full cache saw %d solo keys and %d from shared reads: want both", soloReads, sharedReads)
+				if soloReads == 0 || sharedReads == 0 || evictions == 0 || evictions == soloReads {
+					t.Fatalf("full cache saw %d solo keys (%d evicted) and %d from shared reads: want both, and the gate to pass some and refuse some",
+						soloReads, evictions, sharedReads)
 				}
 			})
 		}

@@ -73,13 +73,10 @@ type Config struct {
 	// CacheEntries sets the DRAM cache capacity in embeddings; 0 disables
 	// caching (§8.3's cacheless configuration).
 	CacheEntries int
-	// SegmentedCache switches the DRAM cache from plain LRU (the paper's
-	// configuration) to CacheLib's scan-resistant segmented LRU.
-	SegmentedCache bool
 	// AdmitAll caches every key a lookup reads from a page, evicting for
 	// each — the paper's CacheLib configuration (§8.1), for figure
-	// reproduction. Serving leaves it unset and admits by page cost (see
-	// Engine.admit).
+	// reproduction. Serving leaves it unset and admits by page cost and
+	// counted re-use (see Engine.admit).
 	AdmitAll bool
 	// IndexLimit is k, the index-shrinking bound (§6.1); 0 keeps all
 	// replica entries.
@@ -204,15 +201,24 @@ type Engine struct {
 	// health is the backend's per-shard health view when it reports one
 	// (an ssd.Array); nil on single-device backends. Selection tie-breaks,
 	// the pre-submit plan reroute, and recovery targeting all consult it.
-	health     ssd.HealthReporter
-	idx        *selection.Index
-	cache      *cache.Cache[Key, []byte]
-	vecs       *cache.Slab[byte] // the cache's payload storage; nil without a Store
-	shadow     *cache.Shadow[Key]
-	costs      CostModel
-	dim        int
-	vecSize    int
-	maxRetries int
+	health ssd.HealthReporter
+	idx    *selection.Index
+	cache  *cache.Cache[Key, []byte]
+	// How the cache is used, picked once by New: the gated strategy serving
+	// runs with (see admit and creditHits), or under Config.AdmitAll the
+	// paper's. probeCache reads a key for the probe; admitSolo and
+	// admitShared are the inserts admit offers a key through, by the width
+	// of the page read that served it; creditAfterPlan says the probe left
+	// its hits untouched for creditHits.
+	probeCache             func(*cache.Cache[Key, []byte], Key, []byte) ([]byte, bool)
+	admitSolo, admitShared func(Key, []byte) ([]byte, bool)
+	creditAfterPlan        bool
+	vecs                   *cache.Slab[byte] // the cache's payload storage; nil without a Store
+	shadow                 *cache.Shadow[Key]
+	costs                  CostModel
+	dim                    int
+	vecSize                int
+	maxRetries             int
 	// shardQueuePeak[s] is the highest outstanding-command count any
 	// worker has observed on its shard-s queue pair — the per-shard
 	// queue-depth gauge /metrics exports. Updated lock-free by workers.
@@ -340,10 +346,12 @@ func New(cfg Config) (*Engine, error) {
 		e.vecSize = embedding.BytesPerVector(dim)
 	}
 	if cfg.CacheEntries > 0 || len(cfg.PinnedKeys) > 0 {
-		if cfg.SegmentedCache {
-			e.cache = cache.NewSegmentedLRU[Key, []byte](cfg.CacheEntries, cache.Uint32Hasher)
+		e.cache = cache.New[Key, []byte](cfg.CacheEntries, cache.Uint32Hasher)
+		if cfg.AdmitAll {
+			e.probeCache, e.admitSolo, e.admitShared = cache.GetAppend[Key, byte], e.cache.Put, e.cache.Put
 		} else {
-			e.cache = cache.New[Key, []byte](cfg.CacheEntries, cache.Uint32Hasher)
+			e.probeCache, e.admitSolo, e.admitShared = cache.PeekAppend[Key, byte], e.cache.PutIfHotter, e.cache.PutIfRoom
+			e.creditAfterPlan = true
 		}
 		if err := e.pinKeys(cfg.PinnedKeys); err != nil {
 			return nil, err
@@ -906,7 +914,7 @@ func (w *Worker) probe(st *QueryStats, query []Key, record bool) int64 {
 	if e.cache != nil {
 		for _, k := range w.distinct {
 			var ok bool
-			if w.arena, ok = cache.GetAppend(e.cache, k, w.arena); ok {
+			if w.arena, ok = e.probeCache(e.cache, k, w.arena); ok {
 				w.hitKeys = append(w.hitKeys, k)
 				w.seen[k] = true
 			}
@@ -943,7 +951,35 @@ func (w *Worker) planPages(st *QueryStats, query []Key) error {
 	}
 	w.reroute(st)
 	st.MaxShardDepth = w.planMaxShardDepth()
+	if e.creditAfterPlan {
+		w.creditHits()
+	}
 	return nil
+}
+
+// creditHits gives the probe's hits their recency update and their count in
+// the cache's sketch, now that the plan says what each was worth: a hit on a
+// key with a candidate page in the plan saved nothing — that page is read
+// for the misses anyway and would have served the key with them — so only
+// the others are touched. A cached key that keeps arriving in the company of
+// its page's misses thus ages out in favour of one whose hits save reads.
+func (w *Worker) creditHits() {
+	e := w.eng
+	for _, k := range w.hitKeys {
+		if !slices.ContainsFunc(e.idx.Candidates(k), w.plans) {
+			e.cache.Touch(k)
+		}
+	}
+}
+
+// plans reports whether page p is in the plan.
+func (w *Worker) plans(p layout.PageID) bool {
+	for i := range w.plan {
+		if w.plan[i].page == p {
+			return true
+		}
+	}
+	return false
 }
 
 // reroute runs between selection and submission on health-reporting
@@ -1303,17 +1339,21 @@ func (w *Worker) serveFromStore(st *QueryStats, t int64) int64 {
 // together on one page cost one read however many of them are cached — a
 // hit saves a read only when it removes the last missing key from a page —
 // so admission follows the read's width. A solo key, whose read served no
-// other key of the pass, saves exactly one read per later hit: it is
-// inserted as in the paper, evicting the LRU victim. A key whose read was
-// shared takes a free slot when its shard has one, since unused capacity
-// saves nothing, and is otherwise not cached: evicting for it would trade an
-// entry worth a whole read for one worth a fraction.
+// other key of the pass, saves exactly one read per later hit, and what its
+// slot is worth is how often that happens: PutIfHotter counts the offer
+// beside the key's hits and lets it take the LRU victim's place only when it
+// has been counted more often than the victim — evicting for a key seen
+// once throws out a cold but recurring one before its next use. A key whose
+// read was shared takes a free slot when its shard has one, since unused
+// capacity saves nothing, and is otherwise not cached: evicting for it would
+// trade an entry worth a whole read for one worth a fraction. Under
+// Config.AdmitAll both inserts are the paper's Put.
 func (e *Engine) admit(k Key, v []byte, solo bool) []byte {
-	if solo || e.cfg.AdmitAll {
-		v, _ = e.cache.Put(k, v)
-	} else {
-		v, _ = e.cache.PutIfRoom(k, v)
+	insert := e.admitShared
+	if solo {
+		insert = e.admitSolo
 	}
+	v, _ = insert(k, v)
 	return v
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"maxembed/internal/cache"
 	"maxembed/internal/placement"
 	"maxembed/internal/ssd"
 	"maxembed/internal/store"
@@ -262,7 +263,8 @@ var zeroAllocCases = []struct {
 
 // guardZeroAllocs builds the case's engine, warms lookup on one worker, then
 // requires that it allocates nothing at all — and, with a cache, that the
-// measured calls were evicting.
+// measured calls were offering solo keys to a full cache, some evicting and
+// some turned down.
 func guardZeroAllocs(t *testing.T, file bool, cacheShare float64, warm, runs int, lookup func(w *Worker, qs [][]Key, i int) error) {
 	t.Helper()
 	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
@@ -283,9 +285,9 @@ func guardZeroAllocs(t *testing.T, file bool, cacheShare float64, warm, runs int
 	// warmup above grew it past what the measured runs add, and Reset
 	// keeps the capacity.
 	e.Latency.Reset()
-	var before int64
+	var before cache.Stats
 	if e.Cache() != nil {
-		before = e.Cache().Stats().Evictions
+		before = e.Cache().Stats()
 	}
 	i := warm
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -297,9 +299,13 @@ func guardZeroAllocs(t *testing.T, file bool, cacheShare float64, warm, runs int
 	if allocs != 0 {
 		t.Fatalf("steady-state allocs/op = %.1f, want 0", allocs)
 	}
-	if c := e.Cache(); c != nil && c.Stats().Evictions-before < int64(runs) {
-		t.Fatalf("only %d evictions over %d measured lookups: not the miss-fill path",
-			c.Stats().Evictions-before, runs)
+	if c := e.Cache(); c != nil {
+		st := c.Stats()
+		evicted, rejected := st.Evictions-before.Evictions, st.Rejected-before.Rejected
+		if evicted == 0 || rejected == 0 || evicted+rejected < int64(runs) {
+			t.Fatalf("only %d evictions and %d rejections over %d measured lookups: not the miss-fill path",
+				evicted, rejected, runs)
+		}
 	}
 }
 
@@ -349,7 +355,7 @@ func TestConcurrentCachedLookups(t *testing.T) {
 	engines := map[string]*Engine{
 		"sim": f.engine(t, func(c *Config) { c.CacheEntries = 48 }),
 	}
-	engines["file"], _ = f.fileEngine(t, 2, func(c *Config) { c.CacheEntries = 48; c.SegmentedCache = true })
+	engines["file"], _ = f.fileEngine(t, 2, func(c *Config) { c.CacheEntries = 48 })
 	for name, e := range engines {
 		t.Run(name, func(t *testing.T) {
 			var wg sync.WaitGroup
@@ -384,8 +390,8 @@ func TestConcurrentCachedLookups(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			if ev := e.Cache().Stats().Evictions; ev < workers*rounds {
-				t.Fatalf("only %d evictions: the cache was not under pressure", ev)
+			if st := e.Cache().Stats(); st.Evictions == 0 || st.Evictions+st.Rejected < workers*rounds {
+				t.Fatalf("only %d evictions and %d rejections: the cache was not under pressure", st.Evictions, st.Rejected)
 			}
 		})
 	}

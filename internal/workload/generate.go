@@ -31,7 +31,21 @@ func Generate(p Profile) (*Trace, error) {
 // advertising profiles flatter ones (PopularityOffset), matching the
 // paper's observation that CriteoTB is nearly cache-insensitive (Fig 12).
 func GenerateSeeded(p Profile, seed int64) (*Trace, error) {
-	t, _, err := generate(p, seed)
+	t, _, err := generate(p, seed, -1, p.Queries)
+	return t, err
+}
+
+// GenerateShifted is GenerateSeeded with a popularity shift: from query
+// index at on, the template pool is permuted, so the recurring key sets stay
+// what they were — a placement learned before the shift fits as well as it
+// did — while which of them are popular changes completely. That is the
+// drift a DRAM cache has to follow (new campaigns, a new season's catalog).
+// The trace is n queries long, over the template pool of p whatever n is:
+// queries before at are identical to GenerateSeeded's, as far as those go,
+// and the permutation depends on the seed alone, so a trace shifted at 0 is
+// the post-shift world from the start.
+func GenerateShifted(p Profile, seed int64, at, n int) (*Trace, error) {
+	t, _, err := generate(p, seed, max(at, 0), n)
 	return t, err
 }
 
@@ -41,7 +55,12 @@ func GenerateSeeded(p Profile, seed int64) (*Trace, error) {
 // popularity order, so neither does the generator — without this, the
 // vanilla sequential placement would accidentally co-locate the hottest
 // items and look far better than it does on real traces.
-func generate(p Profile, seed int64) (*Trace, []int32, error) {
+//
+// The trace has n queries; the template pool is sized by p.Queries. shiftAt
+// ≥ 0 permutes template popularity from that query on (see GenerateShifted),
+// with a generator of its own so that the draws of the trace proper do not
+// move.
+func generate(p Profile, seed int64, shiftAt, n int) (*Trace, []int32, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -120,10 +139,15 @@ func generate(p Profile, seed int64) (*Trace, []int32, error) {
 
 	t := &Trace{
 		NumItems: p.Items,
-		Queries:  make([][]Key, 0, p.Queries),
+		Queries:  make([][]Key, 0, n),
 	}
 	meanExtra := p.MeanQueryLen - 1
-	for i := 0; i < p.Queries; i++ {
+	for i := 0; i < n; i++ {
+		if i == shiftAt {
+			rand.New(rand.NewSource(^seed)).Shuffle(len(templates), func(a, b int) {
+				templates[a], templates[b] = templates[b], templates[a]
+			})
+		}
 		qlen := 1 + poisson(rng, meanExtra)
 		q := make([]Key, 0, qlen)
 		tmpl := templates[tmplZipf.Uint64()]

@@ -126,7 +126,7 @@ func TestGenerateSkew(t *testing.T) {
 // than uniform sampling would produce.
 func TestGenerateCommunityStructure(t *testing.T) {
 	p := testProfile()
-	tr, community, err := generate(p, p.Seed)
+	tr, community, err := generate(p, p.Seed, -1, p.Queries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,6 @@ type config struct {
 	cacheRatio   float64
 	pipeline     bool
 	greedy       bool
-	segmented    bool
 	recordLast   int
 	seed         int64
 	device       DeviceProfile
@@ -123,12 +122,10 @@ func WithCacheEntries(n int) Option {
 // update-on-read, except that it admits by page cost: while it has room it
 // caches every key a lookup reads, and once full it evicts only for a key
 // whose page read served no other key of the lookup — keys that miss
-// together on one page cost one read however many of them are cached.
+// together on one page cost one read however many of them are cached — and
+// that it has counted, in such reads and in hits, more often than the entry
+// it would evict.
 func WithCacheRatio(f float64) Option { return func(c *config) { c.cacheRatio = f } }
-
-// WithSegmentedCache switches the DRAM cache from plain LRU (the paper's
-// configuration) to a scan-resistant segmented LRU.
-func WithSegmentedCache() Option { return func(c *config) { c.segmented = true } }
 
 // WithHistoryRecording keeps the distinct key sets of the last n served
 // queries; retrieve them with RecordedHistory and feed them to Refresh to
@@ -194,9 +191,11 @@ func WithDRAMPins(n int) Option { return func(c *config) { c.pinTop = n } }
 // given entry capacities over the live distinct-key stream; their measured
 // hit-rate curve (DB.ShadowCurve) is how the DRAM cache size is chosen
 // from data. The ghosts admit every key, as the paper's cache does, so the
-// curve is that cache's hit rate: the real cache (see WithCacheRatio) runs
-// within a few points of it either way while reading fewer pages. With no explicit capacities a geometric grid over the key
-// space (1%–32%) is simulated. Ghost caches cost host memory proportional
+// curve is that cache's hit rate, and for the real cache (see
+// WithCacheRatio), which keeps what it has counted most, it is
+// conservative: the real hit rate runs above it and the pages read fall
+// further than the hits say. With no explicit capacities a geometric grid
+// over the key space (1%–32%) is simulated. Ghost caches cost host memory proportional
 // to the largest simulated capacity but charge no virtual time.
 func WithShadowCache(capacities ...int) Option {
 	return func(c *config) {
@@ -465,14 +464,13 @@ func (c config) dramResidents(numKeys int) int {
 func (db *DB) engineConfig(lay *layout.Layout, src serving.PageSource) serving.Config {
 	cacheEntries := db.cfg.cacheEntriesFor(lay.NumKeys)
 	engCfg := serving.Config{
-		Layout:         lay,
-		CacheEntries:   cacheEntries,
-		SegmentedCache: db.cfg.segmented,
-		IndexLimit:     db.cfg.indexLimit,
-		Pipeline:       db.cfg.pipeline,
-		Greedy:         db.cfg.greedy,
-		Recorder:       db.recorder,
-		PinnedKeys:     db.pins,
+		Layout:       lay,
+		CacheEntries: cacheEntries,
+		IndexLimit:   db.cfg.indexLimit,
+		Pipeline:     db.cfg.pipeline,
+		Greedy:       db.cfg.greedy,
+		Recorder:     db.recorder,
+		PinnedKeys:   db.pins,
 	}
 	if db.cfg.shadow {
 		engCfg.ShadowSizes = db.cfg.shadowSizes
@@ -957,6 +955,9 @@ func (db *DB) ShadowCurve() []cache.CurvePoint {
 // RecommendCacheEntries applies the miss-rate-curve knee rule to the shadow
 // curve: the smallest simulated capacity whose hit rate is within tolerance
 // of the best observed (0 without WithShadowCache or before any traffic).
+// The curve predicts a plain admit-everything LRU; the frequency-gated cache
+// serving runs does better than that at every size, so the recommendation
+// is conservative — a size that is certainly enough, not the least that is.
 func (db *DB) RecommendCacheEntries(tolerance float64) int {
 	sh := db.handle.Engine().Shadow()
 	if sh == nil {

@@ -245,20 +245,6 @@ func TestLookupBatch(t *testing.T) {
 	}
 }
 
-func TestSegmentedCacheOption(t *testing.T) {
-	tr := smallTrace(t)
-	db, err := Open(tr.NumItems, tr.Queries[:500], WithSegmentedCache(), WithCacheRatio(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Lookup(tr.Queries[0]); err != nil {
-		t.Fatal(err)
-	}
-	if db.Engine().Cache() == nil {
-		t.Fatal("segmented cache not constructed")
-	}
-}
-
 func TestHistoryRecordingAndRefreshLoop(t *testing.T) {
 	tr := smallTrace(t)
 	history, live := tr.Split(0.5)
