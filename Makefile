@@ -83,6 +83,13 @@ TestSimAndFileResultsIdentical|TestRerouteNeverPlansAPageTwice ./internal/servin
 TestConcurrentGatedInserts|TestConcurrentAccess ./internal/cache
 TestConcurrentCachedLookups|TestAdmission ./internal/serving
 TestServe ./cmd/maxembed-server
+# The server's connection loop beside net/http: the differential over its
+# seeds (replayed bytes, pipelining, the scripted peer read by net/http's
+# background reader), each limit, the hand-over in mid-connection, the
+# shutdown orders (idle closed, busy finished, grace run out; with SIGTERM,
+# hand-overs in flight and the store's descriptors in the TestServe row
+# above), and the coalescer forming batches from what queued.
+TestConn|TestServeShutdown|FuzzConnVsNetHTTP|TestCoalesc ./internal/server
 endef
 export RACE_SEAMS
 
@@ -100,20 +107,22 @@ race-stress:
 # in steady state, and the slab behind it, the two histograms every
 # lookup records into (metrics.Recorder, metrics.IntHist), and the
 # /v1/lookup JSON codec (request decode and reply encode at 0, the whole
-# handler at a small constant independent of key count). CI runs this as
-# the bench-smoke gate, with one pass of the evicting-Put, gated-Put and
-# codec benchmarks for their B/op.
+# net/http handler at a small constant independent of key count) and a
+# whole request through the server's connection loop, read to write, JSON
+# and MXE1, isolated and coalesced. CI runs this as the bench-smoke gate,
+# with one pass of the evicting-Put, gated-Put and codec benchmarks for
+# their B/op.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestRecorderBounded|TestIntHistAddZeroAllocs' -v ./internal/metrics
 	$(GO) test -count=1 -run 'TestFileBackendLookupZeroAllocs|TestFileBackendBatchZeroAllocs' -v ./internal/serving
 	$(GO) test -count=1 -run 'TestCacheHitPathAllocs|TestCachePutAllocBudget|TestCacheFillAllocBudget|TestSlabCarvesAndRecycles' -v ./internal/cache
 	$(GO) test -run '^$$' -bench 'BenchmarkCachePutEvict|BenchmarkCachePutIfHotter' -benchtime=1x -benchmem ./internal/cache
-	$(GO) test -count=1 -run 'TestHandlerLookupSteadyStateAllocs|TestDecodeLookupKeysZeroAllocs|TestEncodeJSONZeroAllocs' -v ./internal/server
+	$(GO) test -count=1 -run 'TestHandlerLookupSteadyStateAllocs|TestConnLookupZeroAllocs|TestDecodeLookupKeysZeroAllocs|TestEncodeJSONZeroAllocs' -v ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkEncodeJSON|BenchmarkDecodeLookupKeys' -benchtime=1x -benchmem ./internal/server
 
 # The end-to-end smokes CI runs on top of the suite, one per row: an
 # experiment whose hard assertions live inside the experiment itself, or
-# one -benchtime=1x pass of the serving benchmarks matching a pattern,
+# one -benchtime=1x pass of a package's benchmarks matching a pattern,
 # which keeps them buildable and lands their numbers in the log for
 # trend-eyeballing. `#` lines describe the rows under them.
 define SMOKES
@@ -148,19 +157,23 @@ experiment shiftsweep
 # replicated, at least 8% fewer on Criteo, no longer to build.
 experiment partitioners
 # The simulator read path: timing-only, with a store, batched.
-bench WorkerLookup(Timing|Full|Batch)
+bench WorkerLookup(Timing|Full|Batch) ./internal/serving
 # The striped array at 1, 2 and 4 shards.
-bench WorkerLookupSharded
+bench WorkerLookupSharded ./internal/serving
 # One pass over real file I/O (io_uring or the pread pool).
-bench WorkerLookupFileBackend
+bench WorkerLookupFileBackend ./internal/serving
+# Concurrent clients against the HTTP layer, isolated and coalesced, through
+# net/http's handler interface and through the server's own connection loop
+# (the Conn variants): reads per request beside ns/op and allocs/op.
+bench ServerLookup(Isolated|Coalesced)(Conn)? ./internal/server
 endef
 export SMOKES
 
 smoke:
-	@echo "$$SMOKES" | grep -v '^#' | while read -r kind what; do \
+	@echo "$$SMOKES" | grep -v '^#' | while read -r kind what pkg; do \
 		case $$kind in \
 		experiment) set -- -count=1 -run "TestAllExperimentsRun/$$what\$$" ./internal/experiments ;; \
-		bench) set -- -run '^$$' -bench "$$what\$$" -benchtime=1x ./internal/serving ;; \
+		bench) set -- -run '^$$' -bench "$$what\$$" -benchtime=1x -benchmem $$pkg ;; \
 		esac; \
 		echo "$(GO) test $$*"; \
 		$(GO) test "$$@" || exit 1; \

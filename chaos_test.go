@@ -2,8 +2,10 @@ package maxembed
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -32,8 +34,44 @@ import (
 //     dead shard of two sits exactly at the default fail tolerance.
 //
 // The soak ends with both shards healthy, redundancy restored, and a
-// stats/healthz audit.
+// stats/healthz audit. It runs once behind httptest's server and once
+// behind Handler.Serve, where lookups on a connection that has carried
+// nothing else take the server's own connection loop and the rest net/http.
 func TestChaosSoak(t *testing.T) {
+	t.Run("httptest", func(t *testing.T) {
+		chaosSoak(t, func(h *server.Handler) (string, *http.Client) {
+			ts := httptest.NewServer(h)
+			t.Cleanup(ts.Close)
+			return ts.URL, ts.Client()
+		})
+	})
+	t.Run("serve", func(t *testing.T) {
+		stats := chaosSoak(t, func(h *server.Handler) (string, *http.Client) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			served := make(chan error, 1)
+			go func() { served <- h.Serve(ctx, ln, server.DefaultLimits) }()
+			client := &http.Client{Transport: &http.Transport{}}
+			t.Cleanup(func() {
+				client.CloseIdleConnections()
+				cancel()
+				if err := <-served; err != nil {
+					t.Errorf("Serve returned %v", err)
+				}
+			})
+			return "http://" + ln.Addr().String(), client
+		})
+		if stats.HTTP.LookupsDirect == 0 || stats.HTTP.HandedOver == 0 {
+			t.Errorf("the soak should have used both serving paths: %+v", stats.HTTP)
+		}
+	})
+}
+
+// chaosSoak returns the /v1/stats it audited at the end.
+func chaosSoak(t *testing.T, start func(*server.Handler) (url string, client *http.Client)) server.StatsResponse {
 	tr := smallTrace(t)
 	history, eval := tr.Split(0.5)
 	db, err := Open(tr.NumItems, history.Queries,
@@ -52,12 +90,11 @@ func TestChaosSoak(t *testing.T) {
 		// shedding under the client herd below.
 		server.WithCoalescing(4, 200*time.Microsecond),
 		server.WithCoalesceQueue(2))
-	defer h.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	t.Cleanup(h.Close) // after start's own cleanup has stopped the server
+	url, client := start(h)
 
 	post := func(path string) (int, []byte) {
-		resp, err := ts.Client().Post(ts.URL+path, "application/json", nil)
+		resp, err := client.Post(url+path, "application/json", nil)
 		if err != nil {
 			t.Errorf("POST %s: %v", path, err)
 			return 0, nil
@@ -85,7 +122,6 @@ func TestChaosSoak(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			client := ts.Client()
 			var want []float32
 			lastGen := uint64(0)
 			for i := c; ; i += clients {
@@ -96,7 +132,7 @@ func TestChaosSoak(t *testing.T) {
 				}
 				q := eval.Queries[i%len(eval.Queries)]
 				body, _ := json.Marshal(server.LookupRequest{Keys: q})
-				resp, err := client.Post(ts.URL+"/v1/lookup", "application/json", bytes.NewReader(body))
+				resp, err := client.Post(url+"/v1/lookup", "application/json", bytes.NewReader(body))
 				if err != nil {
 					t.Errorf("client %d: %v", c, err)
 					return
@@ -158,7 +194,7 @@ func TestChaosSoak(t *testing.T) {
 	mustPost("/v1/shards/0/fail")
 	// One dead shard of two sits at the default 0.5 fail tolerance: the
 	// node must still report ready while the engine reroutes around it.
-	if resp, err := ts.Client().Get(ts.URL + "/healthz"); err != nil {
+	if resp, err := client.Get(url + "/healthz"); err != nil {
 		t.Error(err)
 	} else {
 		resp.Body.Close()
@@ -204,7 +240,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	resp, err := client.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +266,7 @@ func TestChaosSoak(t *testing.T) {
 			t.Errorf("stats: shard %d state %q after the soak", s.Shard, s.State)
 		}
 	}
-	if resp, err := ts.Client().Get(ts.URL + "/healthz"); err != nil {
+	if resp, err := client.Get(url + "/healthz"); err != nil {
 		t.Error(err)
 	} else {
 		resp.Body.Close()
@@ -238,4 +274,5 @@ func TestChaosSoak(t *testing.T) {
 			t.Errorf("healthz = %d after full recovery", resp.StatusCode)
 		}
 	}
+	return stats
 }

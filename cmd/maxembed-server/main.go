@@ -16,9 +16,9 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"syscall"
-	"time"
 
 	"maxembed"
 	"maxembed/internal/server"
@@ -49,7 +49,6 @@ func main() {
 	faultCorrupt := flag.Float64("fault-corrupt", 0, "injected per-read payload-corruption probability")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-injection schedule seed")
 	batchMax := flag.Int("batch-max", 8, "max lookups coalesced into one batch (≤1 disables coalescing)")
-	batchWait := flag.Duration("batch-wait", 250*time.Microsecond, "max wait for a coalesced batch to fill")
 	recordLast := flag.Int("record-last", 65536, "served queries kept as refresh history (0 disables recording and refresh)")
 	refreshInterval := flag.Duration("refresh-interval", 0, "background layout-refresh period (0 disables the loop; POST /v1/refresh still works)")
 	refreshMinQueries := flag.Int64("refresh-min-queries", 1024, "recorded queries required before a background refresh fires")
@@ -181,12 +180,12 @@ func main() {
 	ls := db.LayoutStats()
 	log.Printf("layout ready: %d pages, %.1f%% replica slots", ls.NumPages, ls.ReplicationRatio*100)
 
-	srvOpts := []server.Option{server.WithCoalescing(*batchMax, *batchWait)}
+	srvOpts := []server.Option{server.WithCoalescing(*batchMax, 0)}
 	if *batchMax <= 1 {
 		srvOpts = []server.Option{server.WithoutCoalescing()}
 		log.Printf("request coalescing disabled")
 	} else {
-		log.Printf("request coalescing: up to %d lookups per batch, %v max wait", *batchMax, *batchWait)
+		log.Printf("request coalescing: up to %d lookups per batch", *batchMax)
 	}
 	if fileDir != "" {
 		log.Printf("layout refresh unavailable on the file backend (on-disk pages would go stale)")
@@ -221,6 +220,13 @@ func main() {
 		srvOpts = append(srvOpts, server.WithSpreadReport(db))
 	}
 	h := server.NewDynamic(db.Handle(), db.Backend(), srvOpts...)
+	// The offline phase is over. Its garbage is heap the runtime keeps
+	// resident against a GC goal set while the build was allocating, and a
+	// server that allocates nothing per lookup neither reuses it nor runs the
+	// collection that would lower the goal: it would stay in the resident set
+	// for good, a few MiB more or less from one start to the next. Collect
+	// and return it once, before the first connection.
+	debug.FreeOSMemory()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
@@ -230,7 +236,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	context.AfterFunc(ctx, stop)
 	log.Printf("serving on %s", ln.Addr())
-	if err := serve(ctx, ln, h, db, defaultLimits); err != nil {
+	if err := serve(ctx, ln, h, db, server.DefaultLimits); err != nil {
 		log.Print(err)
 		os.Exit(1)
 	}

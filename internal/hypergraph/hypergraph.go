@@ -10,7 +10,7 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Vertex identifies a vertex (an embedding key) in the hypergraph.
@@ -69,7 +69,7 @@ func (b *Builder) AddEdge(members []Vertex) error {
 	}
 	// Deduplicate in place: sort the freshly appended span, then compact.
 	span := b.edgeMembers[start:]
-	sort.Slice(span, func(i, j int) bool { return span[i] < span[j] })
+	slices.Sort(span)
 	w := 0
 	for i, v := range span {
 		if i == 0 || v != span[w-1] {
@@ -121,6 +121,14 @@ func (g *Graph) buildIncidence() {
 // hyperedge over numVertices vertices.
 func FromQueries(numVertices int, queries [][]Vertex) (*Graph, error) {
 	b := NewBuilder(numVertices)
+	// Both arrays are sized once: grown by doubling, each step holds the old
+	// array beside the new one, and that garbage is the peak of a start-up.
+	pins := 0
+	for _, q := range queries {
+		pins += len(q)
+	}
+	b.edgeOff = append(make([]uint64, 0, len(queries)+1), 0)
+	b.edgeMembers = make([]Vertex, 0, pins)
 	for i, q := range queries {
 		if err := b.AddEdge(q); err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)

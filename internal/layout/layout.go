@@ -6,6 +6,7 @@ package layout
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -113,6 +114,9 @@ func (l *Layout) ComputeStats() Stats {
 }
 
 // Validate checks the layout invariants and returns the first violation.
+// Its only allocation is one uint32 per key: serving.New runs it on every
+// layout, and on a server that makes no garbage per lookup what start-up
+// leaves behind is the process's peak.
 func (l *Layout) Validate() error {
 	if len(l.Home) != l.NumKeys {
 		return fmt.Errorf("layout: Home has %d entries, want %d", len(l.Home), l.NumKeys)
@@ -123,8 +127,9 @@ func (l *Layout) Validate() error {
 	if l.Capacity <= 0 {
 		return fmt.Errorf("layout: non-positive capacity %d", l.Capacity)
 	}
-	// Page-side checks.
-	onPage := make(map[uint64]bool, l.NumKeys*2) // (page<<32|key) present
+	// Page-side checks. lastPage[k] is one more than the last page seen to
+	// list k: a page that lists a key twice finds its own number there.
+	lastPage := make([]uint32, l.NumKeys)
 	for p, keys := range l.Pages {
 		if len(keys) > l.Capacity {
 			return fmt.Errorf("layout: page %d holds %d keys, capacity %d", p, len(keys), l.Capacity)
@@ -133,11 +138,10 @@ func (l *Layout) Validate() error {
 			if int(k) >= l.NumKeys {
 				return fmt.Errorf("layout: page %d lists out-of-range key %d", p, k)
 			}
-			id := uint64(p)<<32 | uint64(k)
-			if onPage[id] {
+			if lastPage[k] == uint32(p)+1 {
 				return fmt.Errorf("layout: key %d duplicated on page %d", k, p)
 			}
-			onPage[id] = true
+			lastPage[k] = uint32(p) + 1
 		}
 	}
 	// Key-side checks.
@@ -147,23 +151,21 @@ func (l *Layout) Validate() error {
 		if int(h) >= l.NumPages() {
 			return fmt.Errorf("layout: key %d home page %d out of range", k, h)
 		}
-		if !onPage[uint64(h)<<32|uint64(k)] {
+		if !slices.Contains(l.Pages[h], Key(k)) {
 			return fmt.Errorf("layout: key %d home page %d does not list it", k, h)
 		}
 		claimed++
 		if l.Replicas == nil {
 			continue
 		}
-		seen := map[PageID]bool{h: true}
-		for _, rp := range l.Replicas[k] {
+		for i, rp := range l.Replicas[k] {
 			if int(rp) >= l.NumPages() {
 				return fmt.Errorf("layout: key %d replica page %d out of range", k, rp)
 			}
-			if seen[rp] {
+			if rp == h || slices.Contains(l.Replicas[k][:i], rp) {
 				return fmt.Errorf("layout: key %d lists page %d twice", k, rp)
 			}
-			seen[rp] = true
-			if !onPage[uint64(rp)<<32|uint64(k)] {
+			if !slices.Contains(l.Pages[rp], Key(k)) {
 				return fmt.Errorf("layout: key %d replica page %d does not list it", k, rp)
 			}
 			claimed++

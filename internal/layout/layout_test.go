@@ -118,9 +118,21 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		func(l *Layout) { l.Pages[0] = []Key{0, 1, 2, 3, 4, 5, 6} }, // over capacity
 		func(l *Layout) { l.Capacity = 0 },
 		func(l *Layout) { l.Home = l.Home[:3] },
+		func(l *Layout) { l.Pages[0] = []Key{0, 1, 0} },                      // duplicate on page, apart
+		func(l *Layout) { l.Replicas[0] = []PageID{2, 2} },                   // replica page listed twice
+		func(l *Layout) { l.Replicas[0] = []PageID{0} },                      // home page listed as a replica
+		func(l *Layout) { l.Replicas[0] = []PageID{9} },                      // out of range replica page
+		func(l *Layout) { l.Replicas[4] = append(l.Replicas[4], PageID(2)) }, // replica page doesn't list key
+		func(l *Layout) { l.Replicas = l.Replicas[:3] },
 	}
 	for i, f := range corrupt {
 		l := Vanilla(8, 4)
+		if _, err := l.AddReplicaPage([]Key{0, 1}); err != nil { // page 2
+			t.Fatal(err)
+		}
+		if err := l.Validate(); err != nil {
+			t.Fatalf("Validate before corruption: %v", err)
+		}
 		f(l)
 		if err := l.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted corrupt layout", i)

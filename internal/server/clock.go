@@ -4,15 +4,15 @@ import "time"
 
 // The handler reads time only through its injected clock. The serving
 // engine below runs on virtual nanoseconds; up here the measured
-// quantities — refresh durations, coalescer gather waits — default to the
+// quantities — refresh durations, coalescer gather times — default to the
 // wall clock but accept a test- or simulation-supplied source, so the
 // HTTP layer's observability can be driven deterministically too (and the
 // clockcheck analyzer enforces that no stray time.Now call bypasses it).
-// Timers and tickers (gather windows, the refresh loop) still express
-// real waiting and stay on the runtime clock.
+// What is real waiting stays on the runtime clock: tickers (the refresh
+// loop) and connection deadlines (wallNow).
 
 // WithClock sets the handler's time source for measured durations
-// (refresh duration, coalescer gather waits). Defaults to the wall
+// (refresh duration, coalescer gather times). Defaults to the wall
 // clock; nil is ignored.
 func WithClock(now func() time.Time) Option {
 	return func(h *Handler) {
@@ -24,3 +24,9 @@ func WithClock(now func() time.Time) Option {
 
 // now reads the handler's injected clock.
 func (h *Handler) now() time.Time { return h.nowFn() }
+
+// wallNow reads the wall clock for what is real waiting by definition and
+// never a measured quantity: connection deadlines and the Date header.
+func wallNow() time.Time {
+	return time.Now() //lint:allow clockcheck deadlines and Date are wall time, not measurements
+}

@@ -1,9 +1,8 @@
 package server
 
 import (
-	"net/http"
+	"errors"
 	"sync/atomic"
-	"time"
 
 	"maxembed/internal/metrics"
 	"maxembed/internal/serving"
@@ -12,16 +11,22 @@ import (
 // Cross-request micro-batching: concurrent /v1/lookup requests are gathered
 // into small batches and served as one coalesced serving.LookupBatch pass,
 // so page reads are shared across queries (§8.2's cross-query duplication
-// effect) — the dynamic-batching shape inference servers use. A request
-// that arrives alone bypasses batching with zero added wait, so light
-// traffic keeps its isolated-serving p50; under load the gather window
-// fills and each SSD read serves keys of several queries at once.
+// effect) — the dynamic-batching shape inference servers use. Nothing waits
+// for a batch to fill: a batch is whatever queued up while the previous one
+// was on the SSD, so batches grow exactly when the device is the
+// bottleneck and a request that arrives alone is served alone, at once.
+// See DESIGN.md §10.
 
 // Coalescing defaults; override with WithCoalescing / WithCoalesceQueue.
 const (
 	defaultMaxBatch      = 8
-	defaultMaxWait       = 250 * time.Microsecond
 	defaultCoalesceQueue = 1024
+)
+
+// What coalescer.do answers without having served the request.
+var (
+	errCoalesceQueueFull = errors.New("coalesce queue full")
+	errCoalescerClosed   = errors.New("coalescer closed")
 )
 
 // lookupOutcome is a finished lookup: a leased response snapshot (keys
@@ -29,9 +34,8 @@ const (
 // arena) or an engine error. The handler encodes from the lease and
 // releases it.
 type lookupOutcome struct {
-	lease  *respLease
-	status int
-	err    error
+	lease *respLease
+	err   error
 }
 
 // coalescer gathers concurrent lookups into micro-batches served on one
@@ -43,28 +47,25 @@ type coalescer struct {
 	quit     chan struct{}
 	exited   chan struct{}
 	closing  atomic.Bool
-	inflight atomic.Int64 // requests submitted and not yet answered
 	maxBatch int
-	maxWait  time.Duration
 
 	// Owned by the run goroutine.
 	w       *serving.Worker
 	gen     uint64          // engine generation w was created from
 	queries [][]serving.Key // serve's per-batch key lists
-	timer   *time.Timer     // gather's window; stopped and drained between uses
 
 	// Observability: batch-size histogram over every dispatch (bypasses
-	// count as size 1), wall-clock gather wait per dispatch, and counters.
+	// count as size 1), wall-clock gather time per dispatch, and counters.
 	batchSizes *metrics.IntHist
 	waits      metrics.Recorder
 	batches    metrics.Counter // dispatches, bypasses included
-	bypasses   metrics.Counter // single-request zero-wait dispatches
+	bypasses   metrics.Counter // single-request dispatches
 	coalesced  metrics.Counter // requests served in batches of ≥ 2
 	shed       metrics.Counter // requests rejected because the queue was full
 	rebinds    metrics.Counter // worker re-bindings after engine swaps
 }
 
-func newCoalescer(h *Handler, maxBatch int, maxWait time.Duration, queueLen int) *coalescer {
+func newCoalescer(h *Handler, maxBatch, queueLen int) *coalescer {
 	if queueLen < 1 {
 		queueLen = defaultCoalesceQueue
 	}
@@ -74,7 +75,6 @@ func newCoalescer(h *Handler, maxBatch int, maxWait time.Duration, queueLen int)
 		quit:       make(chan struct{}),
 		exited:     make(chan struct{}),
 		maxBatch:   maxBatch,
-		maxWait:    maxWait,
 		batchSizes: metrics.NewIntHist(maxBatch),
 	}
 	return c
@@ -93,6 +93,33 @@ func (c *coalescer) submit(job *lookupJob) bool {
 	default:
 		c.shed.Inc()
 		return false
+	}
+}
+
+// do serves job through the coalescer and waits for its lease. It answers
+// errCoalesceQueueFull for a request shed by a full queue and
+// errCoalescerClosed when the coalescer has shut down and the caller
+// should serve the request in isolation instead.
+func (c *coalescer) do(job *lookupJob) (*respLease, error) {
+	if !c.submit(job) {
+		if c.closing.Load() {
+			return nil, errCoalescerClosed
+		}
+		return nil, errCoalesceQueueFull
+	}
+	select {
+	case out := <-job.done:
+		return out.lease, out.err
+	case <-c.exited:
+		// The coalescer exited after accepting the job; it drains its
+		// queue before exiting, so the outcome — if any — is already
+		// buffered.
+		select {
+		case out := <-job.done:
+			return out.lease, out.err
+		default:
+			return nil, errCoalescerClosed
+		}
 	}
 }
 
@@ -138,13 +165,10 @@ func (c *coalescer) rebind() {
 }
 
 // gather forms one micro-batch starting from first: whatever is already
-// queued is taken immediately (up to maxBatch); if that leaves the batch
-// at a single request with no other request in flight it is dispatched
-// with zero added wait (the light-traffic bypass), otherwise the gather
-// window stays open up to maxWait for the batch to fill. The in-flight
-// gate matters because service is fast relative to arrival: concurrent
-// requests rarely queue up behind each other, so "queue momentarily
-// empty" must not be read as "traffic is light".
+// queued, up to maxBatch, and nothing else — there is no window to wait out.
+// Requests queue while serve is on the device, so the busier the SSD the
+// larger the next batch; a request that finds the coalescer idle is a batch
+// of one (a bypass).
 func (c *coalescer) gather(batch []*lookupJob, first *lookupJob) []*lookupJob {
 	start := c.h.now()
 	batch = append(batch, first)
@@ -157,35 +181,8 @@ func (c *coalescer) gather(batch []*lookupJob, first *lookupJob) []*lookupJob {
 		}
 		break
 	}
-	if len(batch) == 1 && c.inflight.Load() <= 1 {
+	if len(batch) == 1 {
 		c.bypasses.Inc()
-		c.waits.Record(0)
-		return batch
-	}
-	if len(batch) < c.maxBatch && c.maxWait > 0 {
-		if c.timer == nil {
-			c.timer = time.NewTimer(c.maxWait)
-		} else {
-			c.timer.Reset(c.maxWait)
-		}
-		for len(batch) < c.maxBatch {
-			select {
-			case job := <-c.queue:
-				batch = append(batch, job)
-			case <-c.timer.C:
-				c.waits.Record(c.h.now().Sub(start).Nanoseconds())
-				return batch
-			}
-		}
-		// Stop-and-drain: the timer may have fired between the last
-		// receive and Stop, leaving a value in timer.C that the next
-		// gather's Reset would otherwise inherit as an instant expiry.
-		if !c.timer.Stop() {
-			select {
-			case <-c.timer.C:
-			default:
-			}
-		}
 	}
 	c.waits.Record(c.h.now().Sub(start).Nanoseconds())
 	return batch
@@ -219,12 +216,7 @@ func (c *coalescer) serve(batch []*lookupJob) {
 	st := br.Stats.Combined
 	h.window.Observe(int64(st.ReadFaults), int64(st.PagesRead+st.Retries))
 	for i, job := range batch {
-		lease := newLease(br.PerQuery[i])
-		status := http.StatusOK
-		if lease.degraded {
-			status = http.StatusPartialContent
-		}
-		job.done <- lookupOutcome{lease: lease, status: status}
+		job.done <- lookupOutcome{lease: newLease(br.PerQuery[i])}
 	}
 }
 
@@ -243,7 +235,6 @@ func (c *coalescer) close() {
 type CoalescerStats struct {
 	Enabled       bool    `json:"enabled"`
 	MaxBatch      int     `json:"max_batch"`
-	MaxWaitNS     int64   `json:"max_wait_ns"`
 	Batches       int64   `json:"batches" prom:"batches_total,counter"`
 	Bypasses      int64   `json:"bypasses" prom:"bypass_total,counter"`
 	Coalesced     int64   `json:"coalesced_requests" prom:"requests_total,counter"`
@@ -263,7 +254,6 @@ func (c *coalescer) stats() CoalescerStats {
 	return CoalescerStats{
 		Enabled:       true,
 		MaxBatch:      c.maxBatch,
-		MaxWaitNS:     c.maxWait.Nanoseconds(),
 		Batches:       c.batches.Load(),
 		Bypasses:      c.bypasses.Load(),
 		Coalesced:     c.coalesced.Load(),

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -30,18 +31,14 @@ func getStats(t *testing.T, url string) StatsResponse {
 
 func TestCoalescerSingleRequestBypass(t *testing.T) {
 	s := newTestStack(t, 0.2, nil)
-	srv := s.serve(t, WithCoalescing(8, 50*time.Millisecond))
-	// Sequential requests are always alone in flight: every one must be
-	// dispatched immediately (no 50ms gather stall) as a bypass.
-	start := time.Now()
+	srv := s.serve(t)
+	// Sequential requests always find the coalescer idle: every one must be
+	// dispatched at once, as a bypass.
 	for i := 0; i < 5; i++ {
 		resp, _ := postLookup(t, srv.URL, s.tr.Queries[i])
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("lookup %d: status %d", i, resp.StatusCode)
 		}
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("5 sequential lookups took %v — bypass is waiting out the gather window", elapsed)
 	}
 	sr := getStats(t, srv.URL)
 	c := sr.Coalescer
@@ -57,66 +54,61 @@ func TestCoalescerSingleRequestBypass(t *testing.T) {
 	if c.MeanBatchSize != 1 {
 		t.Errorf("mean batch size = %v, want 1", c.MeanBatchSize)
 	}
-	if c.WaitP99NS != 0 {
-		t.Errorf("bypass wait p99 = %dns, want 0", c.WaitP99NS)
+	// Gathering is two clock reads around a queue poll; a millisecond would
+	// be a wait.
+	if c.WaitP99NS >= int64(time.Millisecond) {
+		t.Errorf("bypass gather p99 = %dns: something waited", c.WaitP99NS)
 	}
 }
 
+// idleCoalescer attaches a coalescer whose worker has not started: what is
+// submitted stays queued until the test runs it, which is how a batch forms
+// in production too — requests queue while the worker is busy.
+func idleCoalescer(h *Handler, maxBatch int) *coalescer {
+	h.coal = newCoalescer(h, maxBatch, 0)
+	return h.coal
+}
+
 func TestCoalescerFormsBatchesUnderConcurrency(t *testing.T) {
-	// Deterministic batch formation: hold the in-flight count at n before
-	// any job is submitted (exactly what n overlapping handlers do), then
-	// release all submissions at once. The gather window must stay open and
-	// collect the whole batch.
+	// Deterministic batch formation: n requests are queued before the
+	// worker looks at the queue (exactly what n requests arriving during
+	// one device pass are), then the worker runs. It must take them all in
+	// one batch.
 	s := newTestStack(t, 0.2, nil)
-	h := New(s.eng, s.dev, WithCoalescing(8, 50*time.Millisecond))
+	h := New(s.eng, s.dev, WithoutCoalescing())
 	t.Cleanup(h.Close)
+	coal := idleCoalescer(h, 8)
 	const n = 8
-	h.coal.inflight.Add(n)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer h.coal.inflight.Add(-1)
-			<-start
-			job := &lookupJob{keys: s.tr.Queries[i], done: make(chan lookupOutcome, 1)}
-			if !h.coal.submit(job) {
-				errs <- fmt.Errorf("request %d shed with an empty queue", i)
-				return
-			}
-			out := <-job.done
-			if out.err != nil {
-				errs <- fmt.Errorf("request %d: %v", i, out.err)
-				return
-			}
-			if out.status != http.StatusOK {
-				errs <- fmt.Errorf("request %d: status %d", i, out.status)
-				return
-			}
-			if out.lease.stats.BatchSize < 2 {
-				errs <- fmt.Errorf("request %d served with BatchSize %d, want ≥ 2", i, out.lease.stats.BatchSize)
-				return
-			}
-			out.lease.release()
-		}(i)
+	jobs := make([]*lookupJob, n)
+	for i := range jobs {
+		jobs[i] = &lookupJob{keys: s.tr.Queries[i], done: make(chan lookupOutcome, 1)}
+		if !coal.submit(jobs[i]) {
+			t.Fatalf("request %d shed with an empty queue", i)
+		}
 	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	go coal.run()
+	for i, job := range jobs {
+		out := <-job.done
+		if out.err != nil {
+			t.Fatalf("request %d: %v", i, out.err)
+		}
+		if out.lease.degraded {
+			t.Fatalf("request %d: degraded", i)
+		}
+		if out.lease.stats.BatchSize < 2 {
+			t.Fatalf("request %d served with BatchSize %d, want ≥ 2", i, out.lease.stats.BatchSize)
+		}
+		out.lease.release()
 	}
-	c := h.coal.stats()
+	c := coal.stats()
 	if c.Coalesced != n {
 		t.Errorf("coalesced = %d, want all %d requests batched", c.Coalesced, n)
 	}
-	if c.Batches >= n {
-		t.Errorf("batches = %d for %d overlapping requests — nothing coalesced", c.Batches, n)
+	if c.Batches != 1 {
+		t.Errorf("batches = %d for %d requests queued together, want 1", c.Batches, n)
 	}
-	if c.MeanBatchSize <= 1 {
-		t.Errorf("mean batch size = %v under concurrency", c.MeanBatchSize)
+	if c.MeanBatchSize != n {
+		t.Errorf("mean batch size = %v, want %d", c.MeanBatchSize, n)
 	}
 }
 
@@ -126,7 +118,7 @@ func TestCoalescerBackpressure(t *testing.T) {
 	// one by hand whose queue is already full: submit must shed
 	// deterministically (no draining goroutine races the test).
 	h := New(s.eng, s.dev, WithoutCoalescing())
-	h.coal = newCoalescer(h, 4, time.Millisecond, 1)
+	h.coal = newCoalescer(h, 4, 1)
 	h.coal.queue <- &lookupJob{keys: []uint32{1}, done: make(chan lookupOutcome, 1)}
 
 	srv := httptest.NewServer(h)
@@ -224,51 +216,52 @@ func TestCoalescedReadsFewerPagesThanIsolated(t *testing.T) {
 		h.ServeHTTP(rec, req)
 		return rec.Code
 	}
-	run := func(opts ...Option) (reads, coalesced int64) {
+	run := func(coalesce bool) (reads, coalesced int64) {
 		s := newTestStack(t, 0.4, func(c *serving.Config) { c.CacheEntries = 0 })
-		h := New(s.eng, s.dev, opts...)
-		t.Cleanup(h.Close)
+		h := New(s.eng, s.dev, WithoutCoalescing())
 		for round := 0; round < rounds; round++ {
-			// All clients fire the same query at the same instant — the
+			// All clients fire the same query in the same instant — the
 			// overlapping-arrival regime where batching shares reads. The
-			// in-flight count is pinned to the round's concurrency for its
-			// duration: single-CPU test runners serialize handler
-			// goroutines so fast that the natural count rarely exceeds 1,
-			// while a loaded multi-core server sees all of them at once.
-			var wg sync.WaitGroup
-			start := make(chan struct{})
-			errs := make(chan error, clients)
-			if h.coal != nil {
-				h.coal.inflight.Add(clients)
+			// round's coalescer starts its worker once every request is
+			// queued, as if they had arrived during one device pass:
+			// single-CPU test runners serialize handler goroutines so fast
+			// that requests rarely overlap on their own, while a loaded
+			// multi-core server sees all of them at once.
+			var coal *coalescer
+			if coalesce {
+				coal = idleCoalescer(h, clients)
 			}
+			var wg sync.WaitGroup
+			errs := make(chan error, clients)
 			for w := 0; w < clients; w++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					<-start
 					if code := post(h, s.tr.Queries[round]); code != http.StatusOK {
 						errs <- fmt.Errorf("round %d: status %d", round, code)
 					}
 				}()
 			}
-			close(start)
-			wg.Wait()
-			if h.coal != nil {
-				h.coal.inflight.Add(-clients)
+			if coalesce {
+				for len(coal.queue) < clients {
+					runtime.Gosched()
+				}
+				go coal.run()
 			}
+			wg.Wait()
 			close(errs)
 			for err := range errs {
 				t.Fatal(err)
 			}
+			if coalesce {
+				coalesced += coal.stats().Coalesced
+				coal.close()
+			}
 		}
-		var c int64
-		if h.coal != nil {
-			c = h.coal.stats().Coalesced
-		}
-		return s.dev.Stats().Reads, c
+		return s.dev.Stats().Reads, coalesced
 	}
-	isolated, _ := run(WithoutCoalescing())
-	coalesced, batched := run(WithCoalescing(clients, 20*time.Millisecond))
+	isolated, _ := run(false)
+	coalesced, batched := run(true)
 	if batched == 0 {
 		t.Fatalf("%d simultaneous identical requests per round, none coalesced", clients)
 	}

@@ -177,10 +177,18 @@ func postLookupBinary(t *testing.T, url string, keys []uint32) (status int, dim 
 // completion buffer → ref view → response body.
 func TestLookupJSONOverFileBackend(t *testing.T) {
 	s := newFileStack(t, 2, nil)
-	srv := s.serve(t)
+	eachTransport(t, func() *Handler { return New(s.eng, s.fb) }, func(t *testing.T, url string) {
+		s.checkLookupJSON(t, url)
+	})
+	if st := s.fb.Stats(); st.Reads == 0 {
+		t.Fatal("no backend reads recorded")
+	}
+}
+
+func (s *fileStack) checkLookupJSON(t *testing.T, url string) {
 	var want []float32
 	for i := 0; i < 40; i++ {
-		resp, lr := postLookup(t, srv.URL, s.tr.Queries[i])
+		resp, lr := postLookup(t, url, s.tr.Queries[i])
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d: status %d", i, resp.StatusCode)
 		}
@@ -202,19 +210,21 @@ func TestLookupJSONOverFileBackend(t *testing.T) {
 			t.Fatalf("query %d: no reads and no hits in stats", i)
 		}
 	}
-	if st := s.fb.Stats(); st.Reads == 0 {
-		t.Fatal("no backend reads recorded")
-	}
 }
 
 // TestLookupBinaryEncoding checks the negotiated binary frame: raw
 // little-endian payload bytes straight out of the completion buffers.
 func TestLookupBinaryEncoding(t *testing.T) {
 	s := newFileStack(t, 2, nil)
-	srv := s.serve(t)
+	eachTransport(t, func() *Handler { return New(s.eng, s.fb) }, func(t *testing.T, url string) {
+		s.checkLookupBinary(t, url)
+	})
+}
+
+func (s *fileStack) checkLookupBinary(t *testing.T, url string) {
 	var want []float32
 	for i := 0; i < 25; i++ {
-		status, dim, got, failed := postLookupBinary(t, srv.URL, s.tr.Queries[i])
+		status, dim, got, failed := postLookupBinary(t, url, s.tr.Queries[i])
 		if status != http.StatusOK {
 			t.Fatalf("query %d: status %d", i, status)
 		}
@@ -246,11 +256,16 @@ func TestLookupBinaryEncoding(t *testing.T) {
 // query byte-for-value, through the coalesced path as well.
 func TestLookupBinaryMatchesJSON(t *testing.T) {
 	s := newFileStack(t, 1, nil)
-	srv := s.serve(t, WithCoalescing(4, 0))
+	eachTransport(t, func() *Handler { return New(s.eng, s.fb, WithCoalescing(4, 0)) }, func(t *testing.T, url string) {
+		s.checkBinaryMatchesJSON(t, url)
+	})
+}
+
+func (s *fileStack) checkBinaryMatchesJSON(t *testing.T, url string) {
 	for i := 0; i < 10; i++ {
 		q := s.tr.Queries[i]
-		_, lr := postLookup(t, srv.URL, q)
-		_, _, got, _ := postLookupBinary(t, srv.URL, q)
+		_, lr := postLookup(t, url, q)
+		_, _, got, _ := postLookupBinary(t, url, q)
 		if len(got) != len(lr.Embeddings) {
 			t.Fatalf("query %d: binary %d keys, JSON %d", i, len(got), len(lr.Embeddings))
 		}
@@ -551,7 +566,13 @@ func TestPoolsDropJumboBuffers(t *testing.T) {
 			res.Keys[i], res.Refs[i] = uint32(i), viewsOf(vec)[0]
 		}
 		rec := httptest.NewRecorder()
-		h.writeLease(rec, false, http.StatusOK, newLease(res))
+		job := lookupJobPool.Get().(*lookupJob)
+		bp := respBufPool.Get().(*[]byte)
+		rp := leaseReply(newLease(res), false, (*bp)[:0])
+		h.write(rec, job, rp)
+		*bp = rp.body
+		putRespBuf(bp)
+		putLookupJob(job)
 		if rec.Code != http.StatusOK || rec.Body.Len() < keys*64 {
 			t.Fatalf("%d-key reply: status %d, %d bytes", keys, rec.Code, rec.Body.Len())
 		}

@@ -29,11 +29,16 @@ var errBodyTooLarge = errors.New("request body too large")
 // parsed keys, and the channel the coalescer answers on (buffered, so the
 // coalescer never blocks on a slow or departed client). The handler owns
 // the job from decode to reply; the coalescer reads keys and sends on done
-// strictly in between.
+// strictly in between. A connection of Serve's loop keeps one job of its
+// own for its lifetime, body a view of its read buffer.
 type lookupJob struct {
 	body []byte
 	keys []serving.Key
 	done chan lookupOutcome
+
+	// The net/http route's Content-Length header value (Handler.write).
+	clen   [1]string
+	clenOf int
 }
 
 var lookupJobPool = sync.Pool{New: func() any {

@@ -21,6 +21,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -71,20 +72,21 @@ func WithRetryAfter(seconds int) Option {
 	return func(h *Handler) { h.retryAfterSec = seconds }
 }
 
-// WithCoalescing configures cross-request micro-batching: up to maxBatch
-// concurrent lookups are gathered into one coalesced serving pass, waiting
-// at most maxWait for the batch to fill once two or more requests are
-// pending (a lone request is always dispatched immediately). maxBatch ≤ 1
-// disables coalescing and serves every request in isolation from a worker
-// pool. Defaults: maxBatch 8, maxWait 250µs.
-func WithCoalescing(maxBatch int, maxWait time.Duration) Option {
-	return func(h *Handler) { h.maxBatch, h.maxWait = maxBatch, maxWait }
+// WithCoalescing configures cross-request micro-batching: the lookups that
+// queued up while the previous batch was being served, up to maxBatch of
+// them, go out as one coalesced serving pass (a lone request is dispatched
+// at once; nothing ever waits for a batch to fill). maxBatch ≤ 1 disables
+// coalescing and serves every request in isolation from a worker pool.
+// Default: maxBatch 8. The second parameter was a gather window and is
+// ignored; it stays only because bench/replay.go passes it.
+func WithCoalescing(maxBatch int, _ time.Duration) Option {
+	return func(h *Handler) { h.maxBatch = maxBatch }
 }
 
 // WithoutCoalescing serves every request in isolation (the pre-batching
 // architecture); equivalent to WithCoalescing(1, 0).
 func WithoutCoalescing() Option {
-	return func(h *Handler) { h.maxBatch, h.maxWait = 1, 0 }
+	return func(h *Handler) { h.maxBatch = 1 }
 }
 
 // WithCoalesceQueue bounds how many requests may wait for the coalescer
@@ -112,16 +114,21 @@ type Handler struct {
 	threshold     float64
 	minEvents     int64
 	retryAfterSec int
+	retryAfter    []string     // retryAfterSec as a header value, formatted once
 	probeSeq      atomic.Int64 // admits every Nth request while unhealthy
 
 	maxBatch      int
-	maxWait       time.Duration
 	coalesceQueue int
 	coal          *coalescer // nil when coalescing is disabled
 	closeOnce     sync.Once
 	pprofEnabled  bool
 
 	nowFn func() time.Time // injected clock (WithClock); wall clock by default
+
+	// Set by Serve: the write deadline of a lookup reply on the net/http
+	// route (ns, 0 = none), and the connection counters of /v1/stats.
+	lookupSend atomic.Int64
+	http       httpCounters
 
 	spreadSrc SpreadReporter // last despread pass for /v1/stats, nil unless wired
 
@@ -171,7 +178,6 @@ func NewDynamic(handle *serving.Swappable, _ ssd.Backend, opts ...Option) *Handl
 		minEvents:      defaultMinHealthEvents,
 		retryAfterSec:  defaultRetryAfterSec,
 		maxBatch:       defaultMaxBatch,
-		maxWait:        defaultMaxWait,
 		coalesceQueue:  defaultCoalesceQueue,
 		shardTolerance: defaultShardFailTolerance,
 		nowFn:          time.Now, // the sanctioned injection point (clockcheck)
@@ -179,11 +185,12 @@ func NewDynamic(handle *serving.Swappable, _ ssd.Backend, opts ...Option) *Handl
 	for _, o := range opts {
 		o(h)
 	}
+	h.retryAfter = []string{strconv.Itoa(h.retryAfterSec)}
 	h.refreshStats.Enabled = h.refreshSrc != nil
 	h.scrubStats.Enabled = h.scrubber != nil
 	h.rebuildStats.Enabled = h.shardAdmin != nil
 	if h.maxBatch > 1 {
-		h.coal = newCoalescer(h, h.maxBatch, h.maxWait, h.coalesceQueue)
+		h.coal = newCoalescer(h, h.maxBatch, h.coalesceQueue)
 		go h.coal.run()
 	}
 	if h.refreshSrc != nil && h.refreshInterval > 0 {
@@ -320,132 +327,174 @@ const maxLookupKeys = 1 << 16
 // wantsBinary reports whether the request negotiated the binary lookup
 // encoding (Accept: application/octet-stream; see lease.go for the frame).
 func wantsBinary(r *http.Request) bool {
-	return r != nil && strings.Contains(r.Header.Get("Accept"), "application/octet-stream")
+	return r != nil && strings.Contains(r.Header.Get("Accept"), acceptBinary)
 }
+
+const acceptBinary = "application/octet-stream"
 
 // Content-Type header values of a lookup reply, shared by every response:
 // net/http and httptest only read a handler's header slices.
 var (
 	contentTypeJSON   = []string{"application/json"}
-	contentTypeBinary = []string{"application/octet-stream"}
+	contentTypeBinary = []string{acceptBinary}
 )
 
-// writeLease encodes a leased lookup result into a pooled body buffer,
-// releases the lease (unpinning the backend's completion buffers), and
-// writes the response. Ref-backed payloads flow completion buffer → body
-// buffer → socket with no intermediate representation.
-func (h *Handler) writeLease(w http.ResponseWriter, binary bool, status int, l *respLease) {
-	bp := respBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	if binary {
-		buf = l.encodeBinary(buf)
-		w.Header()["Content-Type"] = contentTypeBinary
-	} else {
-		buf = l.encodeJSON(buf)
-		w.Header()["Content-Type"] = contentTypeJSON
-	}
-	l.release()
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	w.WriteHeader(status)
-	w.Write(buf)
-	*bp = buf
-	putRespBuf(bp)
+// reply is a finished /v1/lookup response before any transport has seen
+// it: the net/http route sets it on a ResponseWriter (write), the
+// connection loop appends it to its header buffer (conn.go). body is
+// appended to the buffer the caller lent.
+type reply struct {
+	status     int
+	binary     bool // application/octet-stream; application/json otherwise
+	retryAfter bool // carries Retry-After: h.retryAfter
+	body       []byte
 }
 
+// errorReply is httpError's body as a reply.
+func errorReply(buf []byte, status int, format string, args ...any) reply {
+	return reply{status: status, body: appendErrorBody(buf, fmt.Sprintf(format, args...))}
+}
+
+// appendErrorBody appends {"error":msg} and a newline, as json.Encoder
+// prints the one-field object.
+func appendErrorBody(buf []byte, msg string) []byte {
+	quoted, _ := json.Marshal(msg) // a string never fails to marshal
+	buf = append(buf, `{"error":`...)
+	buf = append(buf, quoted...)
+	return append(buf, '}', '\n')
+}
+
+// write sends rp as the response of a net/http request. Every header value
+// is a slice that already exists: the job's for Content-Length (reformatted
+// only when the length differs from the job's previous reply).
+func (h *Handler) write(w http.ResponseWriter, job *lookupJob, rp reply) {
+	hd := w.Header()
+	hd["Content-Type"] = contentTypeJSON
+	if rp.binary {
+		hd["Content-Type"] = contentTypeBinary
+	}
+	if job.clenOf != len(rp.body) || job.clen[0] == "" {
+		job.clenOf, job.clen[0] = len(rp.body), strconv.Itoa(len(rp.body))
+	}
+	hd["Content-Length"] = job.clen[:]
+	if rp.retryAfter {
+		hd["Retry-After"] = h.retryAfter
+	}
+	w.WriteHeader(rp.status)
+	w.Write(rp.body)
+}
+
+// lookup is the net/http route of /v1/lookup; the connection loop of Serve
+// (conn.go) is the other caller of admit and serveLookup.
 func (h *Handler) lookup(w http.ResponseWriter, r *http.Request) {
-	if nh := h.nodeHealth(h.curBackend(), nil); !nh.Ready {
-		// Shed load, but admit every Nth request as a probe: its
-		// observation refreshes the window, so a recovered device brings
-		// the server back without an operator in the loop.
-		if h.probeSeq.Add(1)%defaultProbeEvery != 0 {
-			w.Header().Set("Retry-After", fmt.Sprint(h.retryAfterSec))
-			httpError(w, http.StatusServiceUnavailable,
-				"device unhealthy: read-fault rate %.2f over recent lookups", nh.ErrorRate)
-			return
+	if d := h.lookupSend.Load(); d > 0 {
+		// net/http's own ResponseWriter reaches the connection's deadline
+		// (this is what http.ResponseController calls, without its
+		// per-request allocation); a writer that does not serves unbounded.
+		if dw, ok := w.(interface{ SetWriteDeadline(time.Time) error }); ok {
+			_ = dw.SetWriteDeadline(wallNow().Add(time.Duration(d)))
 		}
 	}
 	job := lookupJobPool.Get().(*lookupJob)
 	defer putLookupJob(job)
-	var err error
-	if job.body, err = readBody(job.body, r); err == errBodyTooLarge {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			"request body too large: limit %d bytes", maxLookupBody)
-		return
-	}
-	if err == nil {
-		err = job.decodeKeys()
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	}
-	if len(job.keys) == 0 {
-		httpError(w, http.StatusBadRequest, "keys must be non-empty")
-		return
-	}
-	if len(job.keys) > maxLookupKeys {
-		httpError(w, http.StatusBadRequest, "too many keys: %d > %d", len(job.keys), maxLookupKeys)
-		return
-	}
-	if h.coal != nil {
-		if h.lookupCoalesced(w, r, job) {
-			return
+	bp := respBufPool.Get().(*[]byte)
+	buf := (*bp)[:0]
+	rp, ok := h.admit(buf)
+	if ok {
+		var err error
+		switch job.body, err = readBody(job.body, r); {
+		case err == errBodyTooLarge:
+			rp = errorReply(buf, http.StatusRequestEntityTooLarge,
+				"request body too large: limit %d bytes", maxLookupBody)
+		case err != nil:
+			rp = errorReply(buf, http.StatusBadRequest, "invalid JSON: %v", err)
+		default:
+			rp = h.serveLookup(r.Context(), job, wantsBinary(r), buf)
 		}
-		// Coalescer shut down mid-request: fall through to isolated serving.
 	}
-	h.lookupIsolated(w, r, job.keys)
+	h.write(w, job, rp)
+	*bp = rp.body
+	putRespBuf(bp)
 }
 
-// lookupCoalesced routes the request through the coalescer. It reports
-// false only when the coalescer has shut down and the request should be
-// served in isolation instead; a full queue is handled here (503).
-func (h *Handler) lookupCoalesced(w http.ResponseWriter, r *http.Request, job *lookupJob) bool {
-	if h.coal.closing.Load() {
-		return false
+// admit is a lookup's health gate, passed before the request body is looked
+// at: while the node is unhealthy it sheds load (ok false, with the 503 to
+// send) but admits every Nth request as a probe, whose observation
+// refreshes the window, so a recovered device brings the server back
+// without an operator in the loop.
+func (h *Handler) admit(buf []byte) (shed reply, ok bool) {
+	nh := h.nodeHealth(h.curBackend(), nil)
+	if nh.Ready || h.probeSeq.Add(1)%defaultProbeEvery == 0 {
+		return reply{}, true
 	}
-	h.coal.inflight.Add(1)
-	defer h.coal.inflight.Add(-1)
-	if !h.coal.submit(job) {
-		if h.coal.closing.Load() {
-			return false
-		}
-		w.Header().Set("Retry-After", fmt.Sprint(h.retryAfterSec))
-		httpError(w, http.StatusServiceUnavailable,
-			"server overloaded: coalesce queue full")
-		return true
+	shed = errorReply(buf, http.StatusServiceUnavailable,
+		"device unhealthy: read-fault rate %.2f over recent lookups", nh.ErrorRate)
+	shed.retryAfter = true
+	return shed, false
+}
+
+// serveLookup is an admitted lookup from request body to reply body:
+// decode job.body, serve the keys through the coalescer or, without one,
+// on a pooled worker, and encode the leased result into buf. The lease is
+// released before the reply is returned, so no completion buffer stays
+// pinned while a slow peer is written to.
+func (h *Handler) serveLookup(ctx context.Context, job *lookupJob, binary bool, buf []byte) reply {
+	if err := job.decodeKeys(); err != nil {
+		return errorReply(buf, http.StatusBadRequest, "invalid JSON: %v", err)
 	}
-	var out lookupOutcome
-	select {
-	case out = <-job.done:
-	case <-h.coal.exited:
-		// The coalescer exited after accepting the job; it drains its
-		// queue before exiting, so the outcome — if any — is already
-		// buffered. Otherwise serve in isolation.
-		select {
-		case out = <-job.done:
-		default:
-			return false
-		}
+	if len(job.keys) == 0 {
+		return errorReply(buf, http.StatusBadRequest, "keys must be non-empty")
 	}
-	if out.err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "lookup: %v", out.err)
-		return true
+	if len(job.keys) > maxLookupKeys {
+		return errorReply(buf, http.StatusBadRequest, "too many keys: %d > %d", len(job.keys), maxLookupKeys)
 	}
-	h.writeLease(w, wantsBinary(r), out.status, out.lease)
-	return true
+	// No coalescer counts as one that has shut down: serve in isolation.
+	lease, err := (*respLease)(nil), errCoalescerClosed
+	if h.coal != nil {
+		lease, err = h.coal.do(job)
+	}
+	if err == errCoalescerClosed {
+		lease, err = h.lookupIsolated(ctx, job.keys)
+	}
+	if err == errCoalesceQueueFull {
+		rp := errorReply(buf, http.StatusServiceUnavailable, "server overloaded: coalesce queue full")
+		rp.retryAfter = true
+		return rp
+	}
+	if err != nil {
+		return errorReply(buf, http.StatusUnprocessableEntity, "lookup: %v", err)
+	}
+	return leaseReply(lease, binary, buf)
+}
+
+// leaseReply encodes a leased lookup result into buf and releases the lease
+// (unpinning the backend's completion buffers). Ref-backed payloads flow
+// completion buffer → body buffer → socket with no intermediate
+// representation.
+func leaseReply(l *respLease, binary bool, buf []byte) reply {
+	rp := reply{status: http.StatusOK, binary: binary}
+	if l.degraded {
+		rp.status = http.StatusPartialContent
+	}
+	if binary {
+		rp.body = l.encodeBinary(buf)
+	} else {
+		rp.body = l.encodeJSON(buf)
+	}
+	l.release()
+	return rp
 }
 
 // lookupIsolated serves one request on a pooled worker with no batching —
-// the path taken when coalescing is disabled. The request context rides
-// into the engine's recovery loop, so a client that hangs up stops the
-// worker from burning retries on its behalf.
-func (h *Handler) lookupIsolated(w http.ResponseWriter, r *http.Request, keys []uint32) {
+// the path taken when coalescing is disabled. The caller's context rides
+// into the engine's recovery loop, so a request nobody waits for any more
+// stops the worker from burning retries on its behalf.
+func (h *Handler) lookupIsolated(ctx context.Context, keys []uint32) (*respLease, error) {
 	pw := h.getWorker()
-	res, err := pw.w.LookupCtx(r.Context(), keys)
+	res, err := pw.w.LookupCtx(ctx, keys)
 	if err != nil {
 		h.putWorker(pw)
-		httpError(w, http.StatusUnprocessableEntity, "lookup: %v", err)
-		return
+		return nil, err
 	}
 	h.window.Observe(int64(res.Stats.ReadFaults),
 		int64(res.Stats.PagesRead+res.Stats.Retries))
@@ -453,11 +502,7 @@ func (h *Handler) lookupIsolated(w http.ResponseWriter, r *http.Request, keys []
 	// worker goes back to the pool, where another request may reuse it.
 	lease := newLease(res)
 	h.putWorker(pw)
-	status := http.StatusOK
-	if lease.degraded {
-		status = http.StatusPartialContent
-	}
-	h.writeLease(w, wantsBinary(r), status, lease)
+	return lease, nil
 }
 
 // health is a real readiness probe: it reports 503 while the node is
@@ -482,7 +527,7 @@ func (h *Handler) health(w http.ResponseWriter, _ *http.Request) {
 	status := http.StatusOK
 	if !nh.Ready {
 		body.Status, status = "unhealthy", http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", fmt.Sprint(h.retryAfterSec))
+		w.Header()["Retry-After"] = h.retryAfter
 	}
 	writeJSONStatus(w, status, body)
 }
@@ -503,5 +548,5 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	w.Write(appendErrorBody(nil, fmt.Sprintf(format, args...)))
 }

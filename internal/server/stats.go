@@ -48,6 +48,7 @@ type StatsResponse struct {
 	MeanValidPerRead float64                `json:"mean_valid_per_read" prom:"valid_per_read,gauge"`
 	Refresh          RefreshStats           `json:"refresh" prom:""`
 	Coalescer        CoalescerStats         `json:"coalescer" prom:"coalesce_"`
+	HTTP             HTTPStats              `json:"http" prom:"http_"`
 }
 
 // ShardStatsEntry is one device shard's slice of /v1/stats: its share of
@@ -144,6 +145,7 @@ func (h *Handler) snapshotOf(v serving.View) *StatsResponse {
 		Health:           h.nodeHealth(be, nil).stats(),
 		Latency:          v.Latency.Summary(),
 		MeanValidPerRead: eng.ValidPerRead.Mean(),
+		HTTP:             h.http.stats(),
 	}
 	if fb, ok := be.(*ssd.FileBackend); ok {
 		resp.Backend = backendStats(fb, resp.Device.Reads)
